@@ -56,6 +56,22 @@ def _budget(args) -> int | None:
     return value
 
 
+def _check_threads(args) -> None:
+    # Read here, inside main's error handler, rather than as the parser
+    # default, so a bad EQUIDIM_THREADS is a one-line error, not a traceback.
+    value = args.threads
+    if value is None:
+        text = os.environ.get("EQUIDIM_THREADS", "1")
+        try:
+            value = int(text)
+        except ValueError:
+            raise EquidimError(
+                f"EQUIDIM_THREADS must be an integer, got {text!r}"
+            ) from None
+    if value < 1:
+        raise EquidimError(f"the thread count must be positive, got {value}")
+
+
 def _add_common(sub, budget: bool = True) -> None:
     sub.add_argument("--json", action="store_true", help="machine-readable output")
     if budget:
@@ -76,9 +92,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--threads",
         type=int,
-        default=int(os.environ.get("EQUIDIM_THREADS", "1")),
+        default=None,
         metavar="K",
-        help="worker-count hint; results never depend on it",
+        help="worker-count hint (default: EQUIDIM_THREADS or 1); "
+        "results never depend on it",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -161,6 +178,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on bad usage; fold that into the error status.
         return 0 if exc.code in (0, None) else 1
     try:
+        _check_threads(args)
         return _dispatch(args)
     except EquidimError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,12 +6,17 @@ tie-broken to the lexicographically smallest vertex set (compared as sorted
 tuples) among all optimal solutions, so results are reproducible.  Instances
 above :data:`MAX_EXACT_ORDER` vertices are rejected rather than searched
 unboundedly.
+
+The cover stream :func:`iter_cover_masks` is a branching search that only
+extends partial choices which can still become a cover of the current size.
+It yields every cover exactly once, in nondecreasing size and lexicographic
+order within a size, so callers that stop at the first optimum get the
+lexicographically smallest one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import BudgetError, GraphError
@@ -226,21 +231,50 @@ def enumerate_vertex_covers(g: Graph, max_size: int) -> Iterator[frozenset[int]]
 def iter_cover_masks(
     adj: tuple[int, ...], n: int, max_size: int
 ) -> Iterator[tuple[int, int]]:
-    """Stream ``(size, mask)`` for every vertex cover, smallest sizes first."""
-    edge_masks = []
-    for u in range(n):
-        mask = adj[u] >> (u + 1) << (u + 1)
-        while mask:
-            v = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            edge_masks.append((1 << u) | (1 << v))
-    for size in range(max_size + 1):
-        for combo in combinations(range(n), size):
-            m = 0
-            for v in combo:
-                m |= 1 << v
-            if all(m & e for e in edge_masks):
-                yield size, m
+    """Stream ``(size, mask)`` for every vertex cover of at most ``max_size``
+    vertices: sizes nondecreasing, covers of one size in lexicographic order
+    (as sorted tuples, the order of ``itertools.combinations``), each cover
+    exactly once.
+
+    For each size k a depth-first search decides the vertices in ascending
+    order, trying "take v" before "leave v out".  Leaving v out forces every
+    higher neighbour into the cover, and a vertex forced by a lower neighbour
+    must be taken.  A branch is cut once the taken and forced vertices
+    outnumber k, or once the undecided vertices cannot bring it up to k, so
+    the work follows the covers rather than all subsets.
+    """
+    higher = [adj[v] >> (v + 1) << (v + 1) for v in range(n)]
+    for size in range(min(max_size, n) + 1):
+        # Open "leave v out" branches: (v, taken, len(taken), forced).
+        stack = [(0, 0, 0, 0)]
+        while stack:
+            v, taken, count, forced = stack.pop()
+            while v < n:
+                bit = 1 << v
+                if forced & bit:
+                    taken |= bit
+                    forced ^= bit
+                    count += 1
+                    v += 1
+                    continue
+                left = forced | higher[v]
+                can_leave = (
+                    count + left.bit_count() <= size and count + n - v - 1 >= size
+                )
+                can_take = count + 1 + forced.bit_count() <= size
+                if not can_take:
+                    if not can_leave:
+                        break
+                    forced = left
+                    v += 1
+                    continue
+                if can_leave:
+                    stack.append((v + 1, taken, count, left))
+                taken |= bit
+                count += 1
+                v += 1
+            else:
+                yield size, taken
 
 
 def _as_mask(g: Graph, s: Iterable[int]) -> int:

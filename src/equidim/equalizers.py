@@ -363,7 +363,7 @@ def _require_connected(g: Graph) -> None:
 
 
 def _check_budget(order: int, max_order: int | None, default_cap: int) -> None:
-    # Callers may move a cap, but never beyond the global exact-search limit.
-    cap = default_cap if max_order is None else min(max_order, covers.MAX_EXACT_ORDER)
+    # A caller's max_order may lower the default cap, never raise it.
+    cap = default_cap if max_order is None else min(max_order, default_cap)
     if order > cap:
         raise BudgetError(f"exact search out of budget: order {order} exceeds cap {cap}")

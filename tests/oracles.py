@@ -47,6 +47,19 @@ def min_vertex_cover(n, edges):
     raise AssertionError("unreachable: the full vertex set is a cover")
 
 
+def cover_stream(n, edges, max_size):
+    """Every vertex cover of at most ``max_size`` vertices as ``(size, mask)``,
+    by subset scan in size-then-lexicographic order."""
+    edge_list = list(edges)
+    out = []
+    for k in range(min(max_size, n) + 1):
+        for combo in combinations(range(n), k):
+            chosen = set(combo)
+            if all(u in chosen or v in chosen for u, v in edge_list):
+                out.append((k, sum(1 << v for v in combo)))
+    return out
+
+
 def max_independent_set_size(n, edges):
     best = 0
     for k in range(n, 0, -1):

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from equidim.cli import main
-from equidim.families import fish_graph, path_graph
+from equidim.families import cycle_graph, fish_graph, path_graph
 from equidim.fileio import format_edge_list
 
 
@@ -184,6 +184,27 @@ def test_budget_violation_exit_one(capsys, tmp_path):
 def test_budget_flag_only_lowers(capsys, fish_file):
     code, _, err = run(capsys, "xi", fish_file, "--budget", "3")
     assert code == 1 and "out of budget" in err
+
+
+@pytest.mark.parametrize(
+    "command, graph, budget, cap",
+    [("xi", path_graph(20), "25", 18), ("beta-star", cycle_graph(20), "28", 16)],
+    ids=["xi", "beta-star"],
+)
+def test_budget_flag_never_raises_a_cap(capsys, tmp_path, command, graph, budget, cap):
+    path = tmp_path / "g.edges"
+    path.write_text(format_edge_list(graph))
+    code, out, err = run(capsys, command, str(path), "--budget", budget)
+    assert code == 1 and out == ""
+    assert "out of budget" in err and f"cap {cap}" in err
+
+
+def test_bad_thread_variable_exit_one(capsys, monkeypatch, fish_file):
+    monkeypatch.setenv("EQUIDIM_THREADS", "abc")
+    code, out, err = run(capsys, "xi", fish_file)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "EQUIDIM_THREADS" in err
+    assert err.count("\n") == 1
 
 
 def test_unknown_subcommand_exit_one(capsys):

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import connected_graphs, labelset, random_graph
@@ -18,6 +19,7 @@ from equidim import (
     min_cover_containing,
     vertex_cover_number,
 )
+from equidim.covers import iter_cover_masks
 from equidim.families import (
     chorded_path_graph,
     complete_bipartite_graph,
@@ -222,3 +224,32 @@ class TestEnumerateCovers:
     def test_bad_max_size(self):
         with pytest.raises(GraphError):
             list(enumerate_vertex_covers(cycle_graph(3), 4))
+
+
+class TestCoverStream:
+    """``iter_cover_masks`` against the definition-level subset scan, compared
+    as lists, so order and multiplicity are checked along with membership."""
+
+    def test_equals_subset_scan_on_all_small_labelled_graphs(self):
+        # Every labelled graph of order <= 6; the stream is ordered, so the
+        # streams for smaller max_size are prefixes of the full one.
+        checked = 0
+        for n in range(7):
+            slots = list(combinations(range(n), 2))
+            for chosen in range(1 << len(slots)):
+                edges = [e for i, e in enumerate(slots) if chosen >> i & 1]
+                adj = [0] * n
+                for u, v in edges:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+                got = list(iter_cover_masks(tuple(adj), n, n))
+                assert got == oracles.cover_stream(n, edges, n), (n, edges)
+                checked += 1
+        assert checked == 33868
+
+    @given(connected_graphs(min_n=7, max_n=10), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_subset_scan_with_size_cap(self, g, data):
+        max_size = data.draw(st.integers(0, g.n))
+        got = list(iter_cover_masks(g.adjacency_bits, g.n, max_size))
+        assert got == oracles.cover_stream(g.n, g.edges, max_size)

@@ -7,13 +7,16 @@ import oracles
 from conftest import connected_graphs, labelset
 from equidim import (
     BudgetError,
+    FamilySpec,
     ForwardPair,
     Graph,
     GraphError,
     beta_star,
+    closed_formula,
     corona,
     empty_bisector_graph,
     forward_equalized,
+    generate,
     is_distance_equalizer,
     is_vertex_cover,
     k_threshold,
@@ -179,6 +182,29 @@ class TestXiCoronaStructured:
                 assert is_vertex_cover(ghat, lower)
                 assert forward_equalized(g, ForwardPair(upper, lower))
                 assert result.value == len(upper) * n_h + len(lower)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FamilySpec("cycle", (28,)),
+            FamilySpec("path", (28,)),
+            FamilySpec("complete-bipartite", (13, 15)),
+        ],
+        ids=["C28", "P28", "K13,15"],
+    )
+    def test_closed_formula_at_the_cap(self, spec):
+        # Milliseconds with the branching cover stream; a subset scan of the
+        # 2^28 candidate covers takes minutes here.
+        g = generate(spec)
+        assert g.n == 28
+        result = xi_corona_structured(g, 2)
+        assert result.value == closed_formula(spec, 2).value
+        upper, lower = result.decomposition
+        ghat = empty_bisector_graph(g).graph
+        assert upper | lower == frozenset(range(g.n))
+        assert is_vertex_cover(ghat, upper)
+        assert is_vertex_cover(ghat, lower)
+        assert forward_equalized(g, ForwardPair(upper, lower))
 
     def test_witness_lives_in_the_product(self, fish):
         for n_h in (1, 2):
