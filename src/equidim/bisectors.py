@@ -17,7 +17,7 @@ from .graphs import Graph
 
 def bisector(g: Graph, u: int, v: int) -> frozenset[int]:
     """All vertices ``w`` with ``d(w, u) == d(w, v)``; requires ``u != v``."""
-    _require_connected(g)
+    g.require_connected()
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise GraphError(f"vertices {u}, {v} outside 0..{g.n - 1}")
     if u == v:
@@ -35,24 +35,8 @@ class EmptyBisectorGraph:
 
 
 def empty_bisector_graph(g: Graph) -> EmptyBisectorGraph:
-    """Graph on V(g) whose edges are exactly the pairs with empty bisector.
-
-    Cubic in the order: every vertex is inspected for every pair, reading
-    the cached distance matrix.
-    """
-    _require_connected(g)
-    dist = g.distances
-    n = g.n
-    edges = []
-    for u in range(n):
-        du = dist[u]
-        for v in range(u + 1, n):
-            dv = dist[v]
-            if not any(du[w] == dv[w] for w in range(n)):
-                edges.append((u, v))
-    return EmptyBisectorGraph(Graph(n, edges, labels=g.labels), n)
-
-
-def _require_connected(g: Graph) -> None:
-    if not g.is_connected:
-        raise GraphError("operation requires a connected graph")
+    """Graph on V(g) whose edges are exactly the pairs with empty bisector,
+    read off the graph's cached pair bisector masks."""
+    g.require_connected()
+    edges = [(u, v) for u, v, mask in g.bisector_masks if not mask]
+    return EmptyBisectorGraph(Graph(g.n, edges, labels=g.labels), g.n)

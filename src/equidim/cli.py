@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import covers, equalizers, suites, theory
@@ -21,12 +20,6 @@ from .errors import EquidimError
 from .families import FAMILY_NAMES, FamilySpec, generate
 from .fileio import format_edge_list, parse_edge_list, to_dot
 from .graphs import Graph, INFINITY
-
-_CAPS = {
-    "cover": covers.MAX_EXACT_ORDER,
-    "brute": equalizers.MAX_BRUTE_ORDER,
-    "oracle": equalizers.MAX_ORACLE_ORDER,
-}
 
 
 def _load_graph(path: str) -> Graph:
@@ -56,22 +49,6 @@ def _budget(args) -> int | None:
     return value
 
 
-def _check_threads(args) -> None:
-    # Read here, inside main's error handler, rather than as the parser
-    # default, so a bad EQUIDIM_THREADS is a one-line error, not a traceback.
-    value = args.threads
-    if value is None:
-        text = os.environ.get("EQUIDIM_THREADS", "1")
-        try:
-            value = int(text)
-        except ValueError:
-            raise EquidimError(
-                f"EQUIDIM_THREADS must be an integer, got {text!r}"
-            ) from None
-    if value < 1:
-        raise EquidimError(f"the thread count must be positive, got {value}")
-
-
 def _add_common(sub, budget: bool = True) -> None:
     sub.add_argument("--json", action="store_true", help="machine-readable output")
     if budget:
@@ -88,14 +65,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="equidim",
         description="Exact equidistant dimension of graphs and corona products.",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        metavar="K",
-        help="worker-count hint (default: EQUIDIM_THREADS or 1); "
-        "results never depend on it",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -178,7 +147,6 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on bad usage; fold that into the error status.
         return 0 if exc.code in (0, None) else 1
     try:
-        _check_threads(args)
         return _dispatch(args)
     except EquidimError as exc:
         print(f"error: {exc}", file=sys.stderr)

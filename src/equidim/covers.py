@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import BudgetError, GraphError
+from .errors import GraphError, check_budget
 from .graphs import Graph
 
 #: Hard cap on the order accepted by the exact solvers.
@@ -150,13 +150,13 @@ def max_clique_size(adj: tuple[int, ...], candidates: int) -> int:
 
 def is_vertex_cover(g: Graph, s: Iterable[int]) -> bool:
     """True iff every edge of ``g`` has an endpoint in ``s``."""
-    mask = _as_mask(g, s)
+    mask = g.mask(s)
     return all(mask >> u & 1 or mask >> v & 1 for u, v in g.edges)
 
 
 def vertex_cover_number(g: Graph, max_order: int | None = None) -> CoverResult:
     """Exact minimum vertex cover with the lexicographically smallest witness."""
-    _check_budget(g, max_order)
+    check_budget(g.n, max_order, MAX_EXACT_ORDER)
     full = (1 << g.n) - 1
     size = min_cover_size(g.adjacency_bits, full)
     witness = lexmin_cover(g.adjacency_bits, full, 0, size)
@@ -171,7 +171,7 @@ def independence_number(g: Graph, max_order: int | None = None) -> CoverResult:
     """
     cover = vertex_cover_number(g, max_order)
     witness = frozenset(range(g.n)) - cover.witness
-    mask = _as_mask(g, witness)
+    mask = g.mask(witness)
     if any(g.adjacency_bits[v] & mask for v in witness):
         raise AssertionError("cover complement is not independent; solver bug")
     return CoverResult(g.n - cover.value, witness)
@@ -179,7 +179,7 @@ def independence_number(g: Graph, max_order: int | None = None) -> CoverResult:
 
 def clique_number(g: Graph, max_order: int | None = None) -> CoverResult:
     """Exact maximum clique with the lexicographically smallest witness."""
-    _check_budget(g, max_order)
+    check_budget(g.n, max_order, MAX_EXACT_ORDER)
     adj = g.adjacency_bits
     full = (1 << g.n) - 1
     size = max_clique_size(adj, full)
@@ -207,9 +207,9 @@ def min_cover_containing(
 
     Always feasible: ``restrict_to`` itself covers its induced subgraph.
     """
-    _check_budget(g, max_order)
-    forced_mask = _as_mask(g, forced)
-    restrict_mask = _as_mask(g, restrict_to)
+    check_budget(g.n, max_order, MAX_EXACT_ORDER)
+    forced_mask = g.mask(forced)
+    restrict_mask = g.mask(restrict_to)
     if forced_mask & ~restrict_mask:
         raise GraphError("forced vertices must lie inside the restriction set")
     adj = tuple(g.adjacency_bits[v] & restrict_mask for v in range(g.n))
@@ -223,7 +223,7 @@ def enumerate_vertex_covers(g: Graph, max_size: int) -> Iterator[frozenset[int]]
     in nondecreasing size and lexicographic order within each size."""
     if not 0 <= max_size <= g.n:
         raise GraphError(f"max_size must lie in 0..{g.n}, got {max_size}")
-    _check_budget(g, None)
+    check_budget(g.n, None, MAX_EXACT_ORDER)
     for size, mask in iter_cover_masks(g.adjacency_bits, g.n, max_size):
         yield frozenset(_bits(mask))
 
@@ -275,20 +275,3 @@ def iter_cover_masks(
                 v += 1
             else:
                 yield size, taken
-
-
-def _as_mask(g: Graph, s: Iterable[int]) -> int:
-    mask = 0
-    for v in s:
-        if not 0 <= v < g.n:
-            raise GraphError(f"vertex {v} outside 0..{g.n - 1}")
-        mask |= 1 << v
-    return mask
-
-
-def _check_budget(g: Graph, max_order: int | None) -> None:
-    cap = MAX_EXACT_ORDER if max_order is None else min(max_order, MAX_EXACT_ORDER)
-    if g.n > cap:
-        raise BudgetError(
-            f"exact search out of budget: order {g.n} exceeds cap {cap}"
-        )

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from . import covers
 from .bisectors import empty_bisector_graph
-from .errors import BudgetError, GraphError
+from .errors import BudgetError, GraphError, check_budget
 from .graphs import Graph, corona
 
 #: Order cap for the subset-scan searches on a single graph.
@@ -76,94 +76,58 @@ class ThresholdLine(NamedTuple):
     threshold_bound: str  # "exact" or "independence-only"
 
 
-# -- cached per-graph precomputations -----------------------------------------
+# -- the defining predicate and subset scans ------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _pair_bisector_masks(g: Graph) -> tuple[tuple[int, int, int], ...]:
-    """For every pair u < v, the bitmask of vertices equidistant from both."""
-    dist = g.distances
-    n = g.n
-    out = []
-    for u in range(n):
-        du = dist[u]
-        for v in range(u + 1, n):
-            dv = dist[v]
-            mask = 0
-            for w in range(n):
-                if du[w] == dv[w]:
-                    mask |= 1 << w
-            out.append((u, v, mask))
-    return tuple(out)
+def _equalizer_masks(g: Graph) -> list[int]:
+    """``B(u, v) | {u, v}`` for every pair: the sets a distance-equalizer
+    set must meet."""
+    return [mask | 1 << u | 1 << v for u, v, mask in g.bisector_masks]
 
 
-@lru_cache(maxsize=None)
-def _forward_masks(g: Graph) -> tuple[int, ...]:
-    """``masks[x]`` has bit v set iff some w satisfies d(w,x) = d(w,v) + 1."""
-    dist = g.distances
-    n = g.n
-    out = []
-    for x in range(n):
-        mask = 0
-        for v in range(n):
-            if any(dist[w][x] == dist[w][v] + 1 for w in range(n)):
-                mask |= 1 << v
-        out.append(mask)
-    return tuple(out)
-
-
-# -- the defining predicate and brute-force searches ---------------------------
+def _min_hitting_subset(n: int, masks: list[int]) -> tuple[int, frozenset[int]]:
+    """Smallest subset of ``0..n-1`` meeting every mask, the lexicographically
+    first of its size because subsets of each size are visited in
+    lexicographic order.  Every mask must be nonzero."""
+    # Order and duplicates do not change the answer; small masks first make
+    # a failing subset fail sooner.
+    masks = sorted(set(masks), key=lambda m: (m.bit_count(), m))
+    for size in range(n + 1):
+        for combo in combinations(range(n), size):
+            smask = 0
+            for x in combo:
+                smask |= 1 << x
+            if all(m & smask for m in masks):
+                return size, frozenset(combo)
+    raise AssertionError("the full vertex set meets every nonzero mask; unreachable")
 
 
 def is_distance_equalizer(g: Graph, s) -> bool:
     """True iff every pair of distinct vertices outside ``s`` has a member
     of ``s`` equidistant from both."""
-    _require_connected(g)
-    smask = _as_mask(g, s)
-    for u, v, bmask in _pair_bisector_masks(g):
-        if not (smask >> u & 1 or smask >> v & 1 or bmask & smask):
-            return False
-    return True
+    g.require_connected()
+    smask = g.mask(s)
+    return all(hit & smask for hit in _equalizer_masks(g))
 
 
 def xi_bruteforce(g: Graph, max_order: int | None = None) -> EquidimResult:
-    """Exact equidistant dimension by subset scan in increasing size.
-
-    The witness is the lexicographically smallest minimum set because
-    subsets of each size are visited in lexicographic order.
-    """
-    _require_connected(g)
-    _check_budget(g.n, max_order, MAX_BRUTE_ORDER)
-    pairs = _pair_bisector_masks(g)
-    for size in range(g.n + 1):
-        for combo in combinations(range(g.n), size):
-            smask = 0
-            for x in combo:
-                smask |= 1 << x
-            if all(
-                smask >> u & 1 or smask >> v & 1 or bmask & smask
-                for u, v, bmask in pairs
-            ):
-                return EquidimResult(size, frozenset(combo))
-    raise AssertionError("the full vertex set always equalizes; unreachable")
+    """Exact equidistant dimension by subset scan in increasing size, with
+    the lexicographically smallest minimum set as witness."""
+    check_budget(g.n, max_order, MAX_BRUTE_ORDER)
+    g.require_connected()
+    return EquidimResult(*_min_hitting_subset(g.n, _equalizer_masks(g)))
 
 
 def xi_total(g: Graph, max_order: int | None = None) -> EquidimResult:
     """Minimum set equalizing every pair of vertices, or the infinite
-    sentinel when the empty bisector graph has an edge."""
-    _require_connected(g)
-    _check_budget(g.n, max_order, MAX_BRUTE_ORDER)
-    if empty_bisector_graph(g).graph.m > 0:
+    sentinel when some bisector is empty (the empty bisector graph has an
+    edge)."""
+    check_budget(g.n, max_order, MAX_BRUTE_ORDER)
+    g.require_connected()
+    masks = [mask for _, _, mask in g.bisector_masks]
+    if not all(masks):
         return EquidimResult(INFINITE, None)
-    pairs = _pair_bisector_masks(g)
-    for size in range(g.n + 1):
-        for combo in combinations(range(g.n), size):
-            smask = 0
-            for x in combo:
-                smask |= 1 << x
-            if all(bmask & smask for _, _, bmask in pairs):
-                return EquidimResult(size, frozenset(combo))
-    raise AssertionError("an edgeless empty bisector graph admits a finite set")
+    return EquidimResult(*_min_hitting_subset(g.n, masks))
 
 
 # -- forward-equalized machinery ----------------------------------------------
@@ -172,18 +136,26 @@ def xi_total(g: Graph, max_order: int | None = None) -> EquidimResult:
 def forward_equalized(g: Graph, pair: ForwardPair) -> bool:
     """True iff every (u, v) in (X-Y) x (Y-X) has a witness w with
     d(w, u) = d(w, v) + 1."""
-    _require_connected(g)
-    xmask = _as_mask(g, pair.x)
-    ymask = _as_mask(g, pair.y)
+    g.require_connected()
+    xmask = g.mask(pair.x)
+    ymask = g.mask(pair.y)
     full = (1 << g.n) - 1
     if xmask | ymask != full:
         raise GraphError("the two sets must jointly cover every vertex")
-    fw = _forward_masks(g)
+    fw = g.forward_masks
     only_y = ymask & ~xmask
     for u in _bits(xmask & ~ymask):
         if only_y & ~fw[u]:
             return False
     return True
+
+
+def _mandatory(fw: tuple[int, ...], umask: int, outside: int) -> int:
+    mandatory = 0
+    for x in _bits(umask):
+        if outside & ~fw[x]:
+            mandatory |= 1 << x
+    return mandatory
 
 
 def mandatory_set(g: Graph, u) -> frozenset[int]:
@@ -193,57 +165,39 @@ def mandatory_set(g: Graph, u) -> frozenset[int]:
     A member x of ``u`` is mandatory when some outside vertex v admits no w
     with d(w, x) = d(w, v) + 1.
     """
-    _require_connected(g)
-    umask = _as_mask(g, u)
+    g.require_connected()
+    umask = g.mask(u)
     outside = ((1 << g.n) - 1) & ~umask
-    fw = _forward_masks(g)
-    return frozenset(x for x in _bits(umask) if outside & ~fw[x])
+    return frozenset(_bits(_mandatory(g.forward_masks, umask, outside)))
 
 
 # -- corona product computations ------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def xi_corona_structured(
-    g: Graph, n_h: int, max_order: int | None = None
-) -> EquidimResult:
-    """Exact corona dimension for any copy graph of order ``n_h``, computed
-    on the base graph alone.
+def _best_split(g: Graph, n_h: int) -> tuple[int, int, int]:
+    """``(cost, U, L)`` as masks: the first split in stream order minimizing
+    ``cost = |U| * n_h + |L|``.
 
-    Minimizes ``|U| * n_h + (n - |U|) + t(U)`` over vertex covers U of the
-    empty bisector graph, where t(U) is the smallest cover of its part
-    inside U that contains the mandatory vertices of U.  Covers stream in
-    nondecreasing size, so the first optimum found realizes the tie-break
-    (smallest |U|, then lexicographic U, then lexicographic L).
+    U ranges over the vertex covers of the empty bisector graph and L is
+    (V minus U) plus t(U) vertices of U: the smallest cover of the empty
+    bisector graph inside U that holds the mandatory vertices of U.  Covers
+    stream in nondecreasing size, so the first optimum found realizes the
+    tie-break (smallest |U|, then lexicographic U, then lexicographic L).
     """
-    if not isinstance(n_h, int) or n_h < 1:
-        raise GraphError(f"copy order must be a positive integer, got {n_h!r}")
-    _require_connected(g)
-    _check_budget(g.n, max_order, covers.MAX_EXACT_ORDER)
     n = g.n
-    if n == 1:
-        return EquidimResult(1, frozenset({0}), (frozenset(), frozenset({0})), n_h)
-    if n == 2:
-        witness = frozenset({1}) | frozenset(2 + j for j in range(n_h))
-        return EquidimResult(n_h + 1, witness, (frozenset({0}), frozenset({1})), n_h)
-
-    ghat = empty_bisector_graph(g).graph
-    adj = ghat.adjacency_bits
+    adj = empty_bisector_graph(g).graph.adjacency_bits
     full = (1 << n) - 1
     beta = covers.min_cover_size(adj, full)
-    floor = max(n, beta * n_h + (n - beta))
-    fw = _forward_masks(g)
+    floor = n + beta * (n_h - 1)
+    fw = g.forward_masks
 
-    best: tuple[int, int, int] | None = None  # (cost, umask, lmask)
+    best: tuple[int, int, int] | None = None
     for size, umask in covers.iter_cover_masks(adj, n, n):
         base = size * n_h + (n - size)
         if best is not None and base >= best[0]:
             break
         outside = full & ~umask
-        mandatory = 0
-        for x in _bits(umask):
-            if outside & ~fw[x]:
-                mandatory |= 1 << x
+        mandatory = _mandatory(fw, umask, outside)
         sub_adj = tuple(adj[v] & umask for v in range(n))
         t = mandatory.bit_count() + covers.min_cover_size(sub_adj, umask & ~mandatory)
         cost = base + t
@@ -252,9 +206,24 @@ def xi_corona_structured(
             best = (cost, umask, outside | tmask)
             if cost == floor:
                 break
-
     assert best is not None, "the pair (any cover, all vertices) is always valid"
-    cost, umask, lmask = best
+    return best
+
+
+@lru_cache(maxsize=4096)
+def xi_corona_structured(
+    g: Graph, n_h: int, max_order: int | None = None
+) -> EquidimResult:
+    """Exact corona dimension for any copy graph of order ``n_h``, computed
+    on the base graph alone: the minimum of ``|U| * n_h + |L|`` over the
+    valid splits (U, L), with full copies over U and L in the base.
+    """
+    if not isinstance(n_h, int) or n_h < 1:
+        raise GraphError(f"copy order must be a positive integer, got {n_h!r}")
+    check_budget(g.n, max_order, covers.MAX_EXACT_ORDER)
+    g.require_connected()
+    n = g.n
+    cost, umask, lmask = _best_split(g, n_h)
     upper = frozenset(_bits(umask))
     lower = frozenset(_bits(lmask))
     witness = set(lower)
@@ -265,51 +234,30 @@ def xi_corona_structured(
 
 def xi_corona_oracle(g: Graph, h: Graph, max_order: int | None = None) -> EquidimResult:
     """Exact corona dimension by subset scan on the explicit product graph."""
-    _require_connected(g)
     order = g.n * (1 + h.n)
-    _check_budget(order, max_order, MAX_ORACLE_ORDER)
+    check_budget(order, max_order, MAX_ORACLE_ORDER)
+    g.require_connected()
     product = corona(g, h).product
     inner = xi_bruteforce(product, max_order=order)
     return EquidimResult(inner.value, inner.witness, None, h.n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def beta_star(g: Graph, max_order: int | None = None) -> covers.CoverResult:
     """Minimum overlap ``|U & L|`` over pairs of vertex covers of the empty
     bisector graph that jointly cover all vertices and admit the step-ahead
     witnesses.
 
-    For fixed U the overlap is exactly t(U) from the structured search, so
-    this is a full sweep of the cover stream keeping the smallest t.  May
-    visit every cover, hence the tighter default budget.
+    The overlap of a split is t(U), so this is the corona search at
+    ``n_h = 1``, whose cost is n + t(U).  It may visit every cover, hence
+    the tighter default budget.
     """
-    _require_connected(g)
-    _check_budget(g.n, max_order, MAX_BETA_STAR_ORDER)
-    n = g.n
-    ghat = empty_bisector_graph(g).graph
-    adj = ghat.adjacency_bits
-    full = (1 << n) - 1
-    fw = _forward_masks(g)
-
-    best: tuple[int, int, int] | None = None  # (t, umask, tmask)
-    for _, umask in covers.iter_cover_masks(adj, n, n):
-        outside = full & ~umask
-        mandatory = 0
-        for x in _bits(umask):
-            if outside & ~fw[x]:
-                mandatory |= 1 << x
-        sub_adj = tuple(adj[v] & umask for v in range(n))
-        t = mandatory.bit_count() + covers.min_cover_size(sub_adj, umask & ~mandatory)
-        if best is None or t < best[0]:
-            tmask = covers.lexmin_cover(sub_adj, umask, mandatory, t)
-            best = (t, umask, tmask)
-            if t == 0:
-                break
-
-    value, umask, tmask = best
+    check_budget(g.n, max_order, MAX_BETA_STAR_ORDER)
+    g.require_connected()
+    cost, umask, lmask = _best_split(g, 1)
     upper = frozenset(_bits(umask))
-    lower = frozenset(_bits((full & ~umask) | tmask))
-    return covers.CoverResult(value, frozenset(_bits(tmask)), (upper, lower))
+    lower = frozenset(_bits(lmask))
+    return covers.CoverResult(cost - g.n, upper & lower, (upper, lower))
 
 
 def k_threshold(g: Graph, max_order: int | None = None) -> ThresholdLine:
@@ -320,8 +268,8 @@ def k_threshold(g: Graph, max_order: int | None = None) -> ThresholdLine:
     the independence number of the empty bisector graph is used instead,
     which is always at least the exact threshold.
     """
-    _require_connected(g)
-    _check_budget(g.n, max_order, covers.MAX_EXACT_ORDER)
+    check_budget(g.n, max_order, covers.MAX_EXACT_ORDER)
+    g.require_connected()
     ghat = empty_bisector_graph(g).graph
     full = (1 << g.n) - 1
     beta = covers.min_cover_size(ghat.adjacency_bits, full)
@@ -344,26 +292,3 @@ def k_threshold(g: Graph, max_order: int | None = None) -> ThresholdLine:
         )
     return ThresholdLine(k, threshold, slope, bound)
 
-
-# -- shared helpers -------------------------------------------------------------
-
-
-def _as_mask(g: Graph, s) -> int:
-    mask = 0
-    for v in s:
-        if not 0 <= v < g.n:
-            raise GraphError(f"vertex {v} outside 0..{g.n - 1}")
-        mask |= 1 << v
-    return mask
-
-
-def _require_connected(g: Graph) -> None:
-    if not g.is_connected:
-        raise GraphError("operation requires a connected graph")
-
-
-def _check_budget(order: int, max_order: int | None, default_cap: int) -> None:
-    # A caller's max_order may lower the default cap, never raise it.
-    cap = default_cap if max_order is None else min(max_order, default_cap)
-    if order > cap:
-        raise BudgetError(f"exact search out of budget: order {order} exceeds cap {cap}")

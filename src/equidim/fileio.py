@@ -3,13 +3,17 @@
 Format: the first significant line is ``n m``; the next ``m`` significant
 lines are ``u v`` with integer vertex labels.  Blank lines and ``#``
 comments are ignored.  Labels are arbitrary integers: they are remapped to
-internal indices by sorted order and preserved on the graph.
+internal indices by sorted order and preserved on the graph.  A declared
+order above :data:`MAX_INPUT_ORDER` is rejected.
 """
 
 from __future__ import annotations
 
 from .errors import GraphError
 from .graphs import Graph
+
+#: Largest declared order accepted, checked before any per-vertex allocation.
+MAX_INPUT_ORDER = 1024
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -30,6 +34,10 @@ def parse_edge_list(text: str) -> Graph:
                 raise GraphError(f"line {line_no}: header entries must be integers") from None
             if n < 1 or m < 0:
                 raise GraphError(f"line {line_no}: need order >= 1 and edge count >= 0")
+            if n > MAX_INPUT_ORDER:
+                raise GraphError(
+                    f"line {line_no}: order {n} exceeds the input limit {MAX_INPUT_ORDER}"
+                )
             header = (n, m)
             continue
         if len(fields) != 2:

@@ -1,5 +1,6 @@
-"""Immutable simple graphs with cached all-pairs distances, plus the corona
-and join constructions.
+"""Immutable simple graphs with cached all-pairs distances and the
+per-graph tables derived from them (pair bisector masks, forward masks),
+plus the corona and join constructions.
 
 Vertices are always the integers ``0 .. n-1`` internally.  A graph may carry
 external vertex labels (for instance the 1-indexed names used in input
@@ -124,6 +125,64 @@ class Graph:
     def is_connected(self) -> bool:
         """True iff one BFS from vertex 0 reaches every vertex."""
         return INFINITY not in self.distances[0]
+
+    def require_connected(self) -> None:
+        """Raise :class:`GraphError` unless the graph is connected."""
+        if not self.is_connected:
+            raise GraphError("operation requires a connected graph")
+
+    def mask(self, vertices: Iterable[int]) -> int:
+        """Bitmask of a vertex set; rejects vertices outside ``0..n-1``."""
+        mask = 0
+        for v in vertices:
+            if not 0 <= v < self.n:
+                raise GraphError(f"vertex {v} outside 0..{self.n - 1}")
+            mask |= 1 << v
+        return mask
+
+    @cached_property
+    def _distance_layers(self) -> tuple[list[int], ...]:
+        # layers[u][d] is the bitmask of the vertices at distance d from u.
+        self.require_connected()
+        layers = []
+        for row in self.distances:
+            layer = [0] * (max(row) + 1)
+            for w, d in enumerate(row):
+                layer[d] |= 1 << w
+            layers.append(layer)
+        return tuple(layers)
+
+    @cached_property
+    def bisector_masks(self) -> tuple[tuple[int, int, int], ...]:
+        """``(u, v, mask)`` for every pair u < v, where ``mask`` holds the
+        vertices equidistant from u and v; the empty bisector graph joins
+        exactly the pairs whose mask is 0.  Connected graphs only."""
+        layers = self._distance_layers
+        out = []
+        for u in range(self.n):
+            lu = layers[u]
+            for v in range(u + 1, self.n):
+                mask = 0
+                for at_u, at_v in zip(lu, layers[v]):
+                    mask |= at_u & at_v
+                out.append((u, v, mask))
+        return tuple(out)
+
+    @cached_property
+    def forward_masks(self) -> tuple[int, ...]:
+        """``masks[x]`` has bit v set iff some w has d(w, x) = d(w, v) + 1.
+        Connected graphs only."""
+        layers = self._distance_layers
+        dist = self.distances
+        out = []
+        for x in range(self.n):
+            mask = 0
+            for w in range(self.n):
+                d = dist[w][x]
+                if d:
+                    mask |= layers[w][d - 1]
+            out.append(mask)
+        return tuple(out)
 
     # -- identity ------------------------------------------------------------
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import covers, equalizers
 from .bisectors import empty_bisector_graph
-from .errors import BudgetError, GraphError
+from .errors import BudgetError, GraphError, check_budget
 from .families import FamilySpec
 from .graphs import Graph, degree_profile
 
@@ -66,6 +66,7 @@ class Ecc2Report:
 
 def ghat_stats(g: Graph) -> tuple[Graph, int, int]:
     """The empty bisector graph with its cover and independence numbers."""
+    check_budget(g.n, None, covers.MAX_EXACT_ORDER)
     ghat = empty_bisector_graph(g).graph
     beta = covers.vertex_cover_number(ghat).value
     return ghat, beta, g.n - beta

@@ -1,11 +1,15 @@
+import contextlib
 import io
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equidim.cli import main
 from equidim.families import cycle_graph, fish_graph, path_graph
-from equidim.fileio import format_edge_list
+from equidim.fileio import MAX_INPUT_ORDER, format_edge_list
 
 
 @pytest.fixture()
@@ -154,10 +158,10 @@ def test_verify_suite_exit_codes(capsys):
     assert "suite table1: PASS" in out
 
 
-def test_verify_json_byte_identical_across_thread_hints(capsys):
-    code, first, _ = run(capsys, "--threads", "1", "verify", "fig7", "--json")
+def test_verify_json_byte_identical_across_runs(capsys):
+    code, first, _ = run(capsys, "verify", "fig7", "--json")
     assert code == 0
-    code, second, _ = run(capsys, "--threads", "4", "verify", "fig7", "--json")
+    code, second, _ = run(capsys, "verify", "fig7", "--json")
     assert code == 0
     assert first == second
 
@@ -199,12 +203,17 @@ def test_budget_flag_never_raises_a_cap(capsys, tmp_path, command, graph, budget
     assert "out of budget" in err and f"cap {cap}" in err
 
 
-def test_bad_thread_variable_exit_one(capsys, monkeypatch, fish_file):
-    monkeypatch.setenv("EQUIDIM_THREADS", "abc")
-    code, out, err = run(capsys, "xi", fish_file)
+def test_order_above_the_input_limit_exit_one(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"{MAX_INPUT_ORDER + 1} 0\n"))
+    code, out, err = run(capsys, "dist", "-")
     assert code == 1 and out == ""
-    assert err.startswith("error:") and "EQUIDIM_THREADS" in err
+    assert err.startswith("error:") and "input limit" in err
     assert err.count("\n") == 1
+
+
+def test_threads_flag_is_gone(capsys, fish_file):
+    code, out, _ = run(capsys, "--threads", "2", "xi", fish_file)
+    assert code == 1 and out == ""
 
 
 def test_unknown_subcommand_exit_one(capsys):
@@ -213,3 +222,69 @@ def test_unknown_subcommand_exit_one(capsys):
 
 def test_unknown_family_exit_one(capsys):
     assert main(["gen", "not-a-family"]) == 1
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge lists of connected graphs on at most 9 vertices (labels from 1),
+    some with one fault: a wrong edge count, a self-loop, a label too many,
+    or a junk line."""
+    n = draw(st.integers(1, 9))
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges += [(u, v) for u, v in draw(st.lists(extra, max_size=8)) if u != v]
+    lines = [f"{u + 1} {v + 1}" for u, v in edges]
+    fault = draw(st.sampled_from([None, None, None, "count", "loop", "label", "junk"]))
+    if fault == "loop":
+        lines.append("1 1")
+    elif fault == "label":
+        lines.append(f"1 {n + 1}")
+    elif fault == "junk":
+        lines.append(draw(st.text(max_size=6)))
+    m = len(lines) + (fault == "count")
+    return "\n".join([f"{n} {m}", *lines])
+
+
+_FUZZ_COMMANDS = (
+    ["dist"],
+    ["bisector", "1", "2"],
+    ["empty-bisector"],
+    ["cover"],
+    ["alpha"],
+    ["omega"],
+    ["xi"],
+    ["xi-total"],
+    ["xi-corona", "--nh", "2"],
+    ["beta-star"],
+    ["k-threshold"],
+    ["k-threshold", "--sweep", "1..3"],
+    ["forward-check", "--x", "1,2", "--y", "0,2,3"],
+    ["bounds", "--nh", "2"],
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    text=st.one_of(edge_list_texts(), st.text(max_size=30)),
+    command=st.sampled_from(_FUZZ_COMMANDS),
+    extra=st.sampled_from([[], ["--json"], ["--budget", "4"], ["--budget", "0"]]),
+)
+def test_fuzzed_input_exits_cleanly(text, command, extra):
+    argv = [command[0], "-", *command[1:], *extra]
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), contextlib.redirect_stdout(
+        out
+    ), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 1 and err.getvalue().startswith("error:"):
+        assert err.getvalue().count("\n") == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(["xi", "-", "--nh", "2", "--json", "--budget", "x", ""]), max_size=5))
+def test_fuzzed_arguments_exit_cleanly(argv):
+    with mock.patch("sys.stdin", io.StringIO("3 2\n1 2\n2 3\n")), contextlib.redirect_stdout(
+        io.StringIO()
+    ), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 1, 2)

@@ -68,8 +68,10 @@ class TestXiBruteforce:
         assert result.value == 0 and result.witness == frozenset()
 
     def test_budget(self):
+        g = path_graph(19)
         with pytest.raises(BudgetError):
-            xi_bruteforce(path_graph(19))
+            xi_bruteforce(g)
+        assert "distances" not in vars(g)  # the cap is checked first
 
     @given(connected_graphs(max_n=7))
     @settings(max_examples=30)
@@ -261,6 +263,16 @@ class TestStructuredOracleAgreement:
             assert len(values) == 1
 
 
+def _assert_pair_contract(g, result):
+    upper, lower = result.pair
+    ghat = empty_bisector_graph(g).graph
+    assert is_vertex_cover(ghat, upper) and is_vertex_cover(ghat, lower)
+    assert upper | lower == frozenset(range(g.n))
+    assert forward_equalized(g, ForwardPair(upper, lower))
+    assert upper & lower == result.witness
+    assert len(result.witness) == result.value
+
+
 class TestBetaStar:
     def test_chorded_path(self, chorded_path):
         assert beta_star(chorded_path).value == 1
@@ -276,14 +288,29 @@ class TestBetaStar:
 
     def test_pair_contract(self, fish, chorded_path):
         for g in (fish, chorded_path):
-            result = beta_star(g)
-            upper, lower = result.pair
-            ghat = empty_bisector_graph(g).graph
-            assert is_vertex_cover(ghat, upper) and is_vertex_cover(ghat, lower)
-            assert upper | lower == frozenset(range(g.n))
-            assert forward_equalized(g, ForwardPair(upper, lower))
-            assert upper & lower == result.witness
-            assert len(result.witness) == result.value
+            _assert_pair_contract(g, beta_star(g))
+
+    @pytest.mark.parametrize(
+        "name, value, overlap, upper, lower",
+        [
+            ("fish", 0, [], [3, 4], [1, 2, 5, 6]),
+            ("chorded_path", 1, [1], [1, 2, 5, 7], [1, 3, 4, 6]),
+            ("pendant_triangle", 0, [], [2, 4, 7, 8], [1, 3, 5, 6]),
+        ],
+    )
+    def test_frozen_witness_and_pair(self, request, name, value, overlap, upper, lower):
+        g = request.getfixturevalue(name)
+        result = beta_star(g)
+        assert result.value == value
+        assert result.witness == labelset(g, *overlap)
+        assert result.pair == (labelset(g, *upper), labelset(g, *lower))
+
+    @settings(max_examples=40, deadline=None)
+    @given(connected_graphs(min_n=1, max_n=6))
+    def test_matches_pair_scan_oracle_on_small_graphs(self, g):
+        result = beta_star(g)
+        assert result.value == oracles.beta_star(g.n, g.edges)
+        _assert_pair_contract(g, result)
 
     def test_matches_pair_scan_oracle(self, fish, chorded_path, pendant_triangle):
         for g in (fish, chorded_path, pendant_triangle):

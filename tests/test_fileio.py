@@ -1,6 +1,16 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from equidim import Graph, GraphError, format_edge_list, parse_edge_list, to_dot
+from equidim import (
+    EquidimError,
+    Graph,
+    GraphError,
+    format_edge_list,
+    parse_edge_list,
+    to_dot,
+)
+from equidim.fileio import MAX_INPUT_ORDER
 from equidim.families import fish_graph, hypercube_graph
 
 
@@ -79,3 +89,28 @@ def test_dot_export_mentions_every_edge(fish):
     assert dot.startswith("graph G {")
     assert '"5" -- "6";' in dot
     assert dot.count("--") == fish.m
+
+
+def test_declared_order_above_the_input_limit_is_rejected():
+    with pytest.raises(GraphError, match="input limit"):
+        parse_edge_list(f"{MAX_INPUT_ORDER + 1} 0\n")
+
+
+def test_declared_order_at_the_input_limit_is_accepted():
+    assert parse_edge_list(f"{MAX_INPUT_ORDER} 0\n").n == MAX_INPUT_ORDER
+
+
+_LINES = st.one_of(
+    st.text(max_size=10),
+    st.tuples(st.integers(-2, 12), st.integers(-2, 12)).map(lambda p: f"{p[0]} {p[1]}"),
+)
+
+
+@settings(max_examples=100)
+@given(st.lists(_LINES, max_size=8).map("\n".join))
+def test_fuzzed_text_parses_or_raises_a_package_error(text):
+    try:
+        g = parse_edge_list(text)
+    except EquidimError:
+        return
+    assert isinstance(g, Graph) and 1 <= g.n <= MAX_INPUT_ORDER

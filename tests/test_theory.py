@@ -3,6 +3,7 @@ import random
 import pytest
 
 from equidim import (
+    BudgetError,
     FamilySpec,
     Graph,
     GraphError,
@@ -53,6 +54,12 @@ class TestBoundsReport:
                 r = bounds_report(g, n_h)
                 assert r.floor <= r.exact
                 assert r.lower_weak <= r.lower <= r.exact <= r.upper <= r.upper_via_xi
+
+    def test_over_the_cover_cap_is_rejected_before_any_distance(self):
+        g = path_graph(29)
+        with pytest.raises(BudgetError, match="cap 28"):
+            bounds_report(g, 1)
+        assert "distances" not in vars(g)
 
 
 class TestClosedFormula:
