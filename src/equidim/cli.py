@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import covers, equalizers, suites, theory
 from .bisectors import bisector, empty_bisector_graph
@@ -61,7 +62,10 @@ def _add_common(sub, budget: bool = True) -> None:
         )
 
 
-def main(argv: list[str] | None = None) -> int:
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building its fifteen
+    subcommands costs more than a small request."""
     parser = argparse.ArgumentParser(
         prog="equidim",
         description="Exact equidistant dimension of graphs and corona products.",
@@ -97,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("graph")
         _add_common(p)
 
-    p = sub.add_parser("xi", help="equidistant dimension by subset scan")
+    p = sub.add_parser("xi", help="equidistant dimension by exact hitting-set search")
     p.add_argument("graph")
     _add_common(p)
 
@@ -140,9 +144,12 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("suite", choices=sorted(suites.SUITES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad usage; fold that into the error status.
         return 0 if exc.code in (0, None) else 1

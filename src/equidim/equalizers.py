@@ -18,15 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import NamedTuple
 
 from . import covers
-from .bisectors import empty_bisector_graph
 from .errors import BudgetError, GraphError, check_budget
 from .graphs import Graph, corona
 
-#: Order cap for the subset-scan searches on a single graph.
+#: Order cap for the exact hitting-set searches (ξ and ξ_total) on one graph.
 MAX_BRUTE_ORDER = 18
 #: Order cap for the explicit corona product accepted by the oracle.
 MAX_ORACLE_ORDER = 14
@@ -76,7 +74,7 @@ class ThresholdLine(NamedTuple):
     threshold_bound: str  # "exact" or "independence-only"
 
 
-# -- the defining predicate and subset scans ------------------------------------
+# -- the defining predicate and the hitting-set search ---------------------------
 
 
 def _equalizer_masks(g: Graph) -> list[int]:
@@ -86,19 +84,56 @@ def _equalizer_masks(g: Graph) -> list[int]:
 
 
 def _min_hitting_subset(n: int, masks: list[int]) -> tuple[int, frozenset[int]]:
-    """Smallest subset of ``0..n-1`` meeting every mask, the lexicographically
-    first of its size because subsets of each size are visited in
-    lexicographic order.  Every mask must be nonzero."""
-    # Order and duplicates do not change the answer; small masks first make
-    # a failing subset fail sooner.
-    masks = sorted(set(masks), key=lambda m: (m.bit_count(), m))
-    for size in range(n + 1):
-        for combo in combinations(range(n), size):
-            smask = 0
-            for x in combo:
-                smask |= 1 << x
-            if all(m & smask for m in masks):
-                return size, frozenset(combo)
+    """Smallest subset of ``0..n-1`` meeting every mask, and the
+    lexicographically first of its size (as a sorted tuple).  Every mask
+    must be nonzero.
+
+    Each distinct mask gets a bit; ``inc[v]`` holds the masks containing v
+    and ``last[v]`` the masks whose highest element is v.  For each size k,
+    from a disjoint-mask lower bound up, a depth-first search decides the
+    vertices in ascending order, "take v" before "leave v out".  Leaving v
+    out is allowed only while every mask ending at v is already hit, and a
+    branch is cut once it holds k vertices with a mask still unhit.  The
+    branches run in lexicographic order, so the first set that meets every
+    mask is the answer.
+    """
+    masks = list(set(masks))
+    # Bit i * n + v of the table is bit v of mask i, so every n-th digit of
+    # its binary string, from the right end, is a column inc[v].
+    table = 0
+    for i, mask in enumerate(masks):
+        table |= mask << i * n
+    digits = f"{table:0{len(masks) * n}b}"
+    inc = [int(digits[n - 1 - v :: n] or "0", 2) for v in range(n)]
+    last = [0] * n
+    above = 0
+    for v in range(n - 1, -1, -1):
+        last[v] = inc[v] & ~above
+        above |= inc[v]
+    # Pairwise-disjoint masks each need their own element.
+    packed = low = 0
+    for mask in masks:
+        if not mask & packed:
+            packed |= mask
+            low += 1
+
+    every = (1 << len(masks)) - 1
+    for size in range(low, n + 1):
+        # Open "leave v out" branches: (v, taken, len(taken), unhit).
+        stack = [(0, 0, 0, every)]
+        while stack:
+            v, taken, count, unhit = stack.pop()
+            while unhit:
+                if count == size:
+                    break
+                if not unhit & last[v]:
+                    stack.append((v + 1, taken, count, unhit))
+                taken |= 1 << v
+                count += 1
+                unhit &= ~inc[v]
+                v += 1
+            else:
+                return size, frozenset(_bits(taken))
     raise AssertionError("the full vertex set meets every nonzero mask; unreachable")
 
 
@@ -111,8 +146,9 @@ def is_distance_equalizer(g: Graph, s) -> bool:
 
 
 def xi_bruteforce(g: Graph, max_order: int | None = None) -> EquidimResult:
-    """Exact equidistant dimension by subset scan in increasing size, with
-    the lexicographically smallest minimum set as witness."""
+    """Exact equidistant dimension: the minimum hitting set of the sets
+    ``B(u, v) | {u, v}``, with the lexicographically smallest minimum set as
+    witness."""
     check_budget(g.n, max_order, MAX_BRUTE_ORDER)
     g.require_connected()
     return EquidimResult(*_min_hitting_subset(g.n, _equalizer_masks(g)))
@@ -185,9 +221,8 @@ def _best_split(g: Graph, n_h: int) -> tuple[int, int, int]:
     tie-break (smallest |U|, then lexicographic U, then lexicographic L).
     """
     n = g.n
-    adj = empty_bisector_graph(g).graph.adjacency_bits
+    adj, beta = g.ghat_beta
     full = (1 << n) - 1
-    beta = covers.min_cover_size(adj, full)
     floor = n + beta * (n_h - 1)
     fw = g.forward_masks
 
@@ -199,7 +234,11 @@ def _best_split(g: Graph, n_h: int) -> tuple[int, int, int]:
         outside = full & ~umask
         mandatory = _mandatory(fw, umask, outside)
         sub_adj = tuple(adj[v] & umask for v in range(n))
-        t = mandatory.bit_count() + covers.min_cover_size(sub_adj, umask & ~mandatory)
+        active = umask & ~mandatory
+        # With U = V nothing is mandatory and the subproblem is Ĝ itself.
+        t = mandatory.bit_count() + (
+            beta if active == full else covers.min_cover_size(sub_adj, active)
+        )
         cost = base + t
         if best is None or cost < best[0]:
             tmask = covers.lexmin_cover(sub_adj, umask, mandatory, t)
@@ -233,7 +272,8 @@ def xi_corona_structured(
 
 
 def xi_corona_oracle(g: Graph, h: Graph, max_order: int | None = None) -> EquidimResult:
-    """Exact corona dimension by subset scan on the explicit product graph."""
+    """Exact corona dimension by :func:`xi_bruteforce` on the explicit product
+    graph."""
     order = g.n * (1 + h.n)
     check_budget(order, max_order, MAX_ORACLE_ORDER)
     g.require_connected()
@@ -270,9 +310,7 @@ def k_threshold(g: Graph, max_order: int | None = None) -> ThresholdLine:
     """
     check_budget(g.n, max_order, covers.MAX_EXACT_ORDER)
     g.require_connected()
-    ghat = empty_bisector_graph(g).graph
-    full = (1 << g.n) - 1
-    beta = covers.min_cover_size(ghat.adjacency_bits, full)
+    beta = g.ghat_beta[1]
     alpha = g.n - beta
     overlap = 0
     try:

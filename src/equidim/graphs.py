@@ -1,6 +1,7 @@
 """Immutable simple graphs with cached all-pairs distances and the
-per-graph tables derived from them (pair bisector masks, forward masks),
-plus the corona and join constructions.
+per-graph tables derived from them (pair bisector masks, forward masks, the
+empty bisector graph's adjacency and cover number), plus the corona and
+join constructions.
 
 Vertices are always the integers ``0 .. n-1`` internally.  A graph may carry
 external vertex labels (for instance the 1-indexed names used in input
@@ -183,6 +184,21 @@ class Graph:
                     mask |= layers[w][d - 1]
             out.append(mask)
         return tuple(out)
+
+    @cached_property
+    def ghat_beta(self) -> tuple[tuple[int, ...], int]:
+        """The adjacency rows of the empty bisector graph Ĝ and its vertex
+        cover number β(Ĝ), which every corona computation on this graph
+        reads.  Connected graphs only.
+
+        Only the rows are kept: holding the Ĝ ``Graph`` (and its edge
+        tuples) on every graph made the slowest corona-ladder requests of
+        ``perfbench`` about 8% slower on a shared 2-vCPU host.
+        """
+        from . import bisectors, covers  # both import this module
+
+        adj = bisectors.empty_bisector_graph(self).graph.adjacency_bits
+        return adj, covers.min_cover_size(adj, (1 << self.n) - 1)
 
     # -- identity ------------------------------------------------------------
 

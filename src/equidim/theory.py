@@ -12,7 +12,6 @@ import random
 from dataclasses import dataclass
 
 from . import covers, equalizers
-from .bisectors import empty_bisector_graph
 from .errors import BudgetError, GraphError, check_budget
 from .families import FamilySpec
 from .graphs import Graph, degree_profile
@@ -64,19 +63,18 @@ class Ecc2Report:
     exact: int | None
 
 
-def ghat_stats(g: Graph) -> tuple[Graph, int, int]:
-    """The empty bisector graph with its cover and independence numbers."""
+def ghat_stats(g: Graph) -> tuple[int, int]:
+    """Cover and independence numbers of the empty bisector graph."""
     check_budget(g.n, None, covers.MAX_EXACT_ORDER)
-    ghat = empty_bisector_graph(g).graph
-    beta = covers.vertex_cover_number(ghat).value
-    return ghat, beta, g.n - beta
+    beta = g.ghat_beta[1]
+    return beta, g.n - beta
 
 
 def bounds_report(g: Graph, n_h: int) -> BoundsReport:
     """Every general bound plus the exact structured value."""
     if n_h < 1:
         raise GraphError(f"copy order must be positive, got {n_h}")
-    ghat, beta, alpha = ghat_stats(g)
+    beta, alpha = ghat_stats(g)
     floor = g.n
     lower_weak = beta * n_h + alpha
     try:
@@ -183,7 +181,7 @@ def closed_formula(spec: FamilySpec, n_h: int) -> FormulaValue:
 def xi_equals_order_characterization(g: Graph, n_h: int) -> tuple[bool, str]:
     """Whether the corona dimension collapses to the base order, decided
     from the empty bisector graph alone."""
-    _, beta, _ = ghat_stats(g)
+    beta, _ = ghat_stats(g)
     if beta == 0:
         return True, "empty bisector graph has no edges"
     if n_h == 1 and equalizers.beta_star(g).value == 0:
@@ -235,7 +233,7 @@ def eccentricity2_case(g: Graph, n_h: int) -> Ecc2Report | None:
     if not qualifying:
         return None
     upper = min((g.n - profile.degrees[v]) * n_h + profile.degrees[v] for v in qualifying)
-    _, _, alpha = ghat_stats(g)
+    _, alpha = ghat_stats(g)
     exact = None
     if any(profile.degrees[v] == alpha for v in qualifying):
         exact = (g.n - alpha) * n_h + alpha

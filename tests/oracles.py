@@ -9,6 +9,7 @@ construction instead of the arithmetic layout.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import combinations
 
 INF = math.inf
@@ -95,14 +96,21 @@ def empty_bisector_edges(n, edges):
     }
 
 
-def xi(n, edges):
-    """Equidistant dimension by definition-level subset scan."""
+@lru_cache(maxsize=1)
+def _pair_bisectors(n, edges):
+    # One entry: xi and xi_total of the same graph share the work.
     dist = floyd_warshall(n, edges)
-    pairs = [
+    return [
         (u, v, bisector_set(dist, u, v))
         for u in range(n)
         for v in range(u + 1, n)
     ]
+
+
+def xi(n, edges):
+    """Equidistant dimension by definition-level subset scan, with the
+    first minimum set of the size-then-lexicographic order as witness."""
+    pairs = _pair_bisectors(n, tuple(edges))
     for k in range(n + 1):
         for combo in combinations(range(n), k):
             chosen = set(combo)
@@ -110,24 +118,21 @@ def xi(n, edges):
                 u in chosen or v in chosen or (b & chosen)
                 for u, v, b in pairs
             ):
-                return k
+                return k, chosen
     raise AssertionError("unreachable")
 
 
 def xi_total(n, edges):
-    dist = floyd_warshall(n, edges)
-    pairs = [
-        (u, v, bisector_set(dist, u, v))
-        for u in range(n)
-        for v in range(u + 1, n)
-    ]
+    """Total equidistant dimension and the first minimum set of the scan,
+    or ``(INF, None)`` when some bisector is empty."""
+    pairs = _pair_bisectors(n, tuple(edges))
     if any(not b for _, _, b in pairs):
-        return INF
+        return INF, None
     for k in range(n + 1):
         for combo in combinations(range(n), k):
             chosen = set(combo)
             if all(b & chosen for _, _, b in pairs):
-                return k
+                return k, chosen
     raise AssertionError("unreachable")
 
 

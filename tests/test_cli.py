@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equidim import cli
 from equidim.cli import main
 from equidim.families import cycle_graph, fish_graph, path_graph
 from equidim.fileio import MAX_INPUT_ORDER, format_edge_list
@@ -214,6 +215,23 @@ def test_order_above_the_input_limit_exit_one(capsys, monkeypatch):
 def test_threads_flag_is_gone(capsys, fish_file):
     code, out, _ = run(capsys, "--threads", "2", "xi", fish_file)
     assert code == 1 and out == ""
+
+
+def test_one_parser_serves_consecutive_calls(capsys, fish_file):
+    # The parser is built once per process; a call must not see the options
+    # of the one before it, nor a usage error in between.
+    first = ("xi", fish_file, "--json", "--budget", "10")
+    second = ("xi", fish_file)
+    alone = []
+    for argv in (first, second):
+        cli._parser.cache_clear()
+        alone.append(run(capsys, *argv))
+    cli._parser.cache_clear()
+    together = [run(capsys, *first)]
+    assert run(capsys, "xi", fish_file, "--nh", "2")[0] == 1
+    together.append(run(capsys, *second))
+    assert together == alone
+    assert alone[0][1] != alone[1][1]
 
 
 def test_unknown_subcommand_exit_one(capsys):

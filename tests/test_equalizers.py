@@ -28,10 +28,12 @@ from equidim import (
     xi_total,
 )
 from equidim.families import (
+    chorded_path_graph,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     empty_graph,
+    fish_graph,
     path_graph,
 )
 from equidim.theory import all_connected_graphs
@@ -73,13 +75,12 @@ class TestXiBruteforce:
             xi_bruteforce(g)
         assert "distances" not in vars(g)  # the cap is checked first
 
-    @given(connected_graphs(max_n=7))
-    @settings(max_examples=30)
+    @given(connected_graphs(min_n=7, max_n=11))
+    @settings(max_examples=30, deadline=None)
     def test_matches_definition_oracle(self, g):
         result = xi_bruteforce(g)
-        assert result.value == oracles.xi(g.n, g.edges)
+        assert (result.value, result.witness) == oracles.xi(g.n, g.edges)
         assert is_distance_equalizer(g, result.witness)
-        assert len(result.witness) == result.value
 
 
 class TestXiTotal:
@@ -93,18 +94,95 @@ class TestXiTotal:
     def test_c5_frozen_value(self):
         # Frozen from the definition-level subset scan: every 2-apart pair
         # has a unique equalizer, which forces the whole vertex set.
-        assert oracles.xi_total(5, cycle_graph(5).edges) == 5
+        assert oracles.xi_total(5, cycle_graph(5).edges) == (5, set(range(5)))
         result = xi_total(cycle_graph(5))
         assert result.value == 5 and result.witness == frozenset(range(5))
 
-    @given(connected_graphs(max_n=6))
-    @settings(max_examples=25)
+    @given(connected_graphs(min_n=7, max_n=11))
+    @settings(max_examples=25, deadline=None)
     def test_matches_definition_oracle(self, g):
-        assert xi_total(g).value == oracles.xi_total(g.n, g.edges)
+        result = xi_total(g)
+        assert (result.value, result.witness) == oracles.xi_total(g.n, g.edges)
 
     def test_finite_iff_edgeless_empty_bisector_graph(self, fish):
         assert empty_bisector_graph(fish).graph.m > 0
         assert xi_total(fish).value == math.inf
+
+
+def _edges(text):
+    return [tuple(map(int, pair.split("-"))) for pair in text.split()]
+
+
+#: (value, witness) of xi and xi_total as the subset scan that the
+#: hitting-set search replaced computed them; the three random graphs are
+#: members of the xi-scan benchmark pool.
+FROZEN = {
+    "P18": (
+        path_graph(18),
+        (13, [0, 2, 3, 4, 6, 8, 9, 10, 11, 12, 13, 14, 16]),
+        (math.inf, None),
+    ),
+    "C18": (cycle_graph(18), (9, [0, 2, 4, 6, 8, 10, 12, 14, 16]), (math.inf, None)),
+    "fish": (fish_graph(), (2, [2, 3]), (math.inf, None)),
+    "x042": (
+        Graph(18, _edges(
+            "0-6 0-9 0-13 0-17 1-4 1-5 1-11 1-13 1-16 2-3 2-8 2-10 2-11 2-14 "
+            "3-12 4-5 4-7 4-11 4-13 4-15 6-7 6-10 6-12 7-12 7-15 8-12 8-16 "
+            "8-17 9-10 9-16 10-15 10-16 11-12 11-13 11-14 11-17 13-16 15-16 "
+            "15-17"
+        )),
+        (5, [0, 3, 5, 15, 17]),
+        (7, [0, 1, 6, 8, 13, 14, 17]),
+    ),
+    "x003": (
+        Graph(18, _edges(
+            "0-4 0-8 0-12 0-14 0-15 0-16 1-7 1-8 1-9 1-15 2-11 2-13 2-15 2-16 "
+            "3-13 3-16 4-13 5-9 5-10 5-12 5-13 5-15 5-16 6-8 6-10 6-11 6-14 "
+            "6-15 6-16 7-9 7-11 7-13 7-17 8-13 8-15 9-17 10-14 11-17 12-13 "
+            "12-14 12-16 13-16 14-17 15-16"
+        )),
+        (5, [0, 1, 8, 12, 14]),
+        (7, [1, 2, 7, 8, 9, 13, 15]),
+    ),
+    "x051": (
+        Graph(18, _edges(
+            "0-2 0-5 0-6 0-7 0-8 0-11 0-12 1-4 1-8 1-9 1-10 1-11 1-16 2-3 2-5 "
+            "2-6 2-7 2-10 2-11 2-14 2-15 2-16 2-17 3-6 3-7 3-8 3-9 3-15 4-6 "
+            "4-7 4-8 4-9 4-11 4-12 4-13 4-15 4-16 4-17 5-8 5-10 5-12 5-13 "
+            "5-14 5-15 6-7 6-8 6-10 6-17 7-9 7-11 7-12 7-13 7-15 8-10 8-15 "
+            "8-16 8-17 9-10 9-13 9-15 9-16 9-17 10-13 10-14 11-14 11-15 "
+            "12-16 13-15 13-17 14-15 14-16 14-17 15-17"
+        )),
+        (4, [0, 4, 10, 14]),
+        (6, [0, 1, 2, 5, 7, 13]),
+    ),
+}
+
+
+def _value_and_witness(result):
+    witness = None if result.witness is None else sorted(result.witness)
+    return result.value, witness
+
+
+class TestHittingSetSearch:
+    """xi and xi_total return the subset scan's answer: the smallest size,
+    then the lexicographically first set of that size."""
+
+    @pytest.mark.parametrize("name", sorted(FROZEN))
+    def test_frozen_values_and_witnesses(self, name):
+        g, xi, total = FROZEN[name]
+        assert _value_and_witness(xi_bruteforce(g)) == xi
+        assert _value_and_witness(xi_total(g)) == total
+
+    def test_matches_oracles_on_all_small_connected_graphs(self):
+        checked = 0
+        for n in range(1, 7):
+            for g in all_connected_graphs(n):
+                xi, total = xi_bruteforce(g), xi_total(g)
+                assert (xi.value, xi.witness) == oracles.xi(g.n, g.edges), g.edges
+                assert (total.value, total.witness) == oracles.xi_total(g.n, g.edges), g.edges
+                checked += 1
+        assert checked == 1 + 1 + 4 + 38 + 728 + 26704
 
 
 class TestForwardEqualized:
@@ -323,6 +401,34 @@ class TestBetaStar:
 
 
 class TestKThreshold:
+    def test_builds_ghat_and_its_cover_once(self, monkeypatch):
+        from equidim import bisectors, covers
+
+        # A fresh graph with cold result caches, so nothing is reused.
+        g = chorded_path_graph()
+        beta_star.cache_clear()
+        xi_corona_structured.cache_clear()
+        builds = []
+        solves = []
+        build = bisectors.empty_bisector_graph
+        solve = covers.min_cover_size
+
+        def counted_build(graph):
+            builds.append(graph)
+            return build(graph)
+
+        def counted_solve(adj, active):
+            solves.append((adj, active))
+            return solve(adj, active)
+
+        monkeypatch.setattr(bisectors, "empty_bisector_graph", counted_build)
+        monkeypatch.setattr(covers, "min_cover_size", counted_solve)
+        line = k_threshold(g)
+        assert (line.k, line.threshold, line.slope) == (4, 3, 4)
+        assert builds == [g]
+        full_ghat = (g.ghat_beta[0], (1 << g.n) - 1)
+        assert solves.count(full_ghat) == 1
+
     def test_fish(self, fish):
         line = k_threshold(fish)
         assert (line.k, line.threshold, line.slope) == (6, 2, 1)
