@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GraphError
-from .graphs import Graph
+from .graphs import Graph, _bits
 
 
 def bisector(g: Graph, u: int, v: int) -> frozenset[int]:
@@ -36,7 +36,6 @@ class EmptyBisectorGraph:
 
 def empty_bisector_graph(g: Graph) -> EmptyBisectorGraph:
     """Graph on V(g) whose edges are exactly the pairs with empty bisector,
-    read off the graph's cached pair bisector masks."""
-    g.require_connected()
-    edges = [(u, v) for u, v, mask in g.bisector_masks if not mask]
+    read off the graph's cached Ĝ adjacency rows."""
+    edges = [(u, v) for u, row in enumerate(g.ghat_rows) for v in _bits(row) if u < v]
     return EmptyBisectorGraph(Graph(g.n, edges, labels=g.labels), g.n)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import GraphError, check_budget
-from .graphs import Graph
+from .graphs import Graph, _bits
 
 #: Hard cap on the order accepted by the exact solvers.
 MAX_EXACT_ORDER = 28
@@ -40,13 +40,6 @@ class CoverResult:
 
 
 # -- bitmask core -------------------------------------------------------------
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _popcount(mask: int) -> int:

@@ -221,7 +221,7 @@ def _best_split(g: Graph, n_h: int) -> tuple[int, int, int]:
     tie-break (smallest |U|, then lexicographic U, then lexicographic L).
     """
     n = g.n
-    adj, beta = g.ghat_beta
+    adj, beta = g.ghat_rows, g.ghat_beta
     full = (1 << n) - 1
     floor = n + beta * (n_h - 1)
     fw = g.forward_masks
@@ -310,7 +310,7 @@ def k_threshold(g: Graph, max_order: int | None = None) -> ThresholdLine:
     """
     check_budget(g.n, max_order, covers.MAX_EXACT_ORDER)
     g.require_connected()
-    beta = g.ghat_beta[1]
+    beta = g.ghat_beta
     alpha = g.n - beta
     overlap = 0
     try:

@@ -1,7 +1,10 @@
-"""Immutable simple graphs with cached all-pairs distances and the
-per-graph tables derived from them (pair bisector masks, forward masks, the
-empty bisector graph's adjacency and cover number), plus the corona and
-join constructions.
+"""Immutable simple graphs with cached per-graph tables, plus the corona
+and join constructions.
+
+One table is built per graph: the distance layers, a bitset BFS from every
+vertex.  The all-pairs distances, the pair bisector masks, the forward masks
+and the adjacency rows of the empty bisector graph Ĝ are each read off the
+layers on first use, and β(Ĝ) off the rows.
 
 Vertices are always the integers ``0 .. n-1`` internally.  A graph may carry
 external vertex labels (for instance the 1-indexed names used in input
@@ -10,15 +13,22 @@ files); labels never affect any computation, only display.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from .errors import GraphError
 
 #: Sentinel distance for unreachable vertex pairs.
 INFINITY = float("inf")
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class Graph:
@@ -94,29 +104,45 @@ class Graph:
 
     # -- cached global structure --------------------------------------------
 
+    def _bfs_layers(self, source: int) -> tuple[int, ...]:
+        # Bitmasks of the vertices at distance 0, 1, 2, ... from source;
+        # an unreachable vertex lies in no layer.
+        adj = self.adjacency_bits
+        seen = frontier = 1 << source
+        layers = [frontier]
+        while True:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & ~seen
+            if not frontier:
+                return tuple(layers)
+            seen |= frontier
+            layers.append(frontier)
+
+    @cached_property
+    def _distance_layers(self) -> tuple[tuple[int, ...], ...]:
+        # layers[u][d] is the bitmask of the vertices at distance d from u;
+        # every other per-graph table is read off these.
+        return tuple(self._bfs_layers(u) for u in range(self.n))
+
     @cached_property
     def distances(self) -> tuple[tuple[int | float, ...], ...]:
-        """All-pairs shortest path lengths (BFS per source).
+        """All-pairs shortest path lengths, read off the distance layers.
 
         Entries for unreachable pairs are :data:`INFINITY`.  Computed once
-        and cached; every downstream module reads this matrix.
+        and cached; only distance queries read it, since the bisector,
+        forward and Ĝ tables come from the layers directly.
         """
         rows = []
-        for source in range(self.n):
-            dist: list[int | float] = [INFINITY] * self.n
-            dist[source] = 0
-            queue = deque([source])
-            while queue:
-                u = queue.popleft()
-                du = dist[u]
-                mask = self.adjacency_bits[u]
-                while mask:
-                    v = (mask & -mask).bit_length() - 1
-                    mask &= mask - 1
-                    if dist[v] is INFINITY:
-                        dist[v] = du + 1
-                        queue.append(v)
-            rows.append(tuple(dist))
+        for layers in self._distance_layers:
+            row: list[int | float] = [INFINITY] * self.n
+            for d, layer in enumerate(layers):
+                for w in _bits(layer):
+                    row[w] = d
+            rows.append(tuple(row))
         return tuple(rows)
 
     def distance(self, u: int, v: int) -> int | float:
@@ -125,7 +151,8 @@ class Graph:
     @cached_property
     def is_connected(self) -> bool:
         """True iff one BFS from vertex 0 reaches every vertex."""
-        return INFINITY not in self.distances[0]
+        # The layers are disjoint, so their sum is their union.
+        return sum(self._bfs_layers(0)) == (1 << self.n) - 1
 
     def require_connected(self) -> None:
         """Raise :class:`GraphError` unless the graph is connected."""
@@ -142,22 +169,10 @@ class Graph:
         return mask
 
     @cached_property
-    def _distance_layers(self) -> tuple[list[int], ...]:
-        # layers[u][d] is the bitmask of the vertices at distance d from u.
-        self.require_connected()
-        layers = []
-        for row in self.distances:
-            layer = [0] * (max(row) + 1)
-            for w, d in enumerate(row):
-                layer[d] |= 1 << w
-            layers.append(layer)
-        return tuple(layers)
-
-    @cached_property
     def bisector_masks(self) -> tuple[tuple[int, int, int], ...]:
         """``(u, v, mask)`` for every pair u < v, where ``mask`` holds the
-        vertices equidistant from u and v; the empty bisector graph joins
-        exactly the pairs whose mask is 0.  Connected graphs only."""
+        vertices equidistant from u and v.  Connected graphs only."""
+        self.require_connected()
         layers = self._distance_layers
         out = []
         for u in range(self.n):
@@ -171,34 +186,52 @@ class Graph:
 
     @cached_property
     def forward_masks(self) -> tuple[int, ...]:
-        """``masks[x]`` has bit v set iff some w has d(w, x) = d(w, v) + 1.
-        Connected graphs only."""
-        layers = self._distance_layers
-        dist = self.distances
-        out = []
-        for x in range(self.n):
-            mask = 0
-            for w in range(self.n):
-                d = dist[w][x]
-                if d:
-                    mask |= layers[w][d - 1]
-            out.append(mask)
+        """``masks[x]`` has bit v set iff some w has d(w, x) = d(w, v) + 1:
+        every x in layer d of w gets layer d - 1 of w.  Connected graphs
+        only."""
+        self.require_connected()
+        out = [0] * self.n
+        for layers in self._distance_layers:
+            prev = 0
+            for layer in layers:
+                rest = layer
+                while rest:
+                    low = rest & -rest
+                    out[low.bit_length() - 1] |= prev
+                    rest ^= low
+                prev = layer
         return tuple(out)
 
     @cached_property
-    def ghat_beta(self) -> tuple[tuple[int, ...], int]:
-        """The adjacency rows of the empty bisector graph Ĝ and its vertex
-        cover number β(Ĝ), which every corona computation on this graph
-        reads.  Connected graphs only.
+    def ghat_rows(self) -> tuple[int, ...]:
+        """Adjacency rows of the empty bisector graph Ĝ, which joins the
+        pairs with no equidistant vertex.  Connected graphs only.
 
-        Only the rows are kept: holding the Ĝ ``Graph`` (and its edge
-        tuples) on every graph made the slowest corona-ladder requests of
-        ``perfbench`` about 8% slower on a shared 2-vCPU host.
+        A vertex w is equidistant from u and v iff v lies in the layer of w
+        that holds u, so row(u) is V minus the union of those n layers.
+        Only the rows are kept, not a Ĝ ``Graph``: holding one on every
+        graph made the slowest corona-ladder requests of ``perfbench``
+        about 8% slower on a shared 2-vCPU host.
         """
-        from . import bisectors, covers  # both import this module
+        self.require_connected()
+        near = [0] * self.n
+        for layers in self._distance_layers:
+            for layer in layers:
+                rest = layer
+                while rest:
+                    low = rest & -rest
+                    near[low.bit_length() - 1] |= layer
+                    rest ^= low
+        full = (1 << self.n) - 1
+        return tuple(full & ~mask for mask in near)
 
-        adj = bisectors.empty_bisector_graph(self).graph.adjacency_bits
-        return adj, covers.min_cover_size(adj, (1 << self.n) - 1)
+    @cached_property
+    def ghat_beta(self) -> int:
+        """The vertex cover number β(Ĝ), which every corona computation on
+        this graph reads.  Connected graphs only."""
+        from . import covers  # covers imports this module
+
+        return covers.min_cover_size(self.ghat_rows, (1 << self.n) - 1)
 
     # -- identity ------------------------------------------------------------
 
@@ -239,7 +272,7 @@ def degree_profile(g: Graph) -> DegreeProfile:
     if not g.is_connected:
         raise GraphError("degree profile requires a connected graph")
     degrees = tuple(g.degree(v) for v in range(g.n))
-    eccs = tuple(max(row) for row in g.distances)
+    eccs = tuple(len(layers) - 1 for layers in g._distance_layers)
     return DegreeProfile(
         degrees=degrees,
         max_degree=max(degrees),

@@ -66,7 +66,7 @@ class Ecc2Report:
 def ghat_stats(g: Graph) -> tuple[int, int]:
     """Cover and independence numbers of the empty bisector graph."""
     check_budget(g.n, None, covers.MAX_EXACT_ORDER)
-    beta = g.ghat_beta[1]
+    beta = g.ghat_beta
     return beta, g.n - beta
 
 

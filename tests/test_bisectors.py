@@ -82,6 +82,12 @@ class TestEmptyBisectorGraph:
         with pytest.raises(GraphError, match="connected"):
             empty_bisector_graph(Graph(4, [(0, 1), (2, 3)]))
 
+    def test_reads_the_shared_rows_without_pair_masks(self):
+        g = path_graph(64)
+        ghat = empty_bisector_graph(g).graph
+        assert "bisector_masks" not in g.__dict__
+        assert set(ghat.edges) == oracles.empty_bisector_edges(g.n, g.edges)
+
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_even_cycle_has_k_squared_edges(self, k):
         assert empty_bisector_graph(cycle_graph(2 * k)).graph.m == k * k

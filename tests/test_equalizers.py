@@ -402,16 +402,24 @@ class TestBetaStar:
 
 class TestKThreshold:
     def test_builds_ghat_and_its_cover_once(self, monkeypatch):
+        from functools import cached_property
+
         from equidim import bisectors, covers
 
         # A fresh graph with cold result caches, so nothing is reused.
         g = chorded_path_graph()
         beta_star.cache_clear()
         xi_corona_structured.cache_clear()
+        row_builds = []
         builds = []
         solves = []
+        rows = Graph.__dict__["ghat_rows"].func
         build = bisectors.empty_bisector_graph
         solve = covers.min_cover_size
+
+        def counted_rows(graph):
+            row_builds.append(graph)
+            return rows(graph)
 
         def counted_build(graph):
             builds.append(graph)
@@ -421,12 +429,17 @@ class TestKThreshold:
             solves.append((adj, active))
             return solve(adj, active)
 
+        counted = cached_property(counted_rows)
+        counted.__set_name__(Graph, "ghat_rows")
+        monkeypatch.setattr(Graph, "ghat_rows", counted)
         monkeypatch.setattr(bisectors, "empty_bisector_graph", counted_build)
         monkeypatch.setattr(covers, "min_cover_size", counted_solve)
         line = k_threshold(g)
         assert (line.k, line.threshold, line.slope) == (4, 3, 4)
-        assert builds == [g]
-        full_ghat = (g.ghat_beta[0], (1 << g.n) - 1)
+        assert row_builds == [g]
+        # No Ĝ ``Graph`` is built: the search reads the rows.
+        assert builds == []
+        full_ghat = (g.ghat_rows, (1 << g.n) - 1)
         assert solves.count(full_ghat) == 1
 
     def test_fish(self, fish):

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from equidim.families import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    hypercube_graph,
     path_graph,
     wheel_graph,
 )
@@ -109,6 +111,81 @@ class TestConnectivity:
     def test_corona_connected_iff_base_is(self):
         assert corona(cycle_graph(3), path_graph(2)).product.is_connected
         assert not corona(Graph(2), path_graph(2)).product.is_connected
+
+    def test_disconnected_graph_builds_no_distance_matrix(self):
+        g = Graph(6, [(0, 1), (1, 2), (3, 4)])
+        assert not g.is_connected
+        assert "distances" not in g.__dict__
+
+
+def _members(mask, n):
+    return {v for v in range(n) if mask >> v & 1}
+
+
+def _all_labelled_graphs(n):
+    slots = list(combinations(range(n), 2))
+    for pick in range(1 << len(slots)):
+        yield Graph(n, [e for i, e in enumerate(slots) if pick >> i & 1])
+
+
+def _check_tables(g):
+    """Every per-graph table of ``g`` against its definition-level oracle."""
+    n = g.n
+    dist = oracles.floyd_warshall(n, g.edges)
+    assert [list(row) for row in g.distances] == dist
+    assert g.is_connected == oracles.is_connected(n, g.edges)
+    if not g.is_connected:
+        for table in ("bisector_masks", "forward_masks", "ghat_rows"):
+            with pytest.raises(GraphError, match="connected"):
+                getattr(g, table)
+        return
+    assert degree_profile(g).eccentricities == tuple(max(row) for row in dist)
+    assert [(u, v, _members(mask, n)) for u, v, mask in g.bisector_masks] == [
+        (u, v, oracles.bisector_set(dist, u, v)) for u, v in combinations(range(n), 2)
+    ]
+    assert [_members(mask, n) for mask in g.forward_masks] == [
+        {v for v in range(n) if any(dist[w][x] == dist[w][v] + 1 for w in range(n))}
+        for x in range(n)
+    ]
+    ghat = oracles.empty_bisector_edges(n, g.edges)
+    assert [_members(row, n) for row in g.ghat_rows] == [
+        {v for v in range(n) if (min(u, v), max(u, v)) in ghat} for u in range(n)
+    ]
+
+
+class TestPerGraphTables:
+    def test_every_labelled_graph_up_to_order_five(self):
+        for n in range(1, 6):
+            for g in _all_labelled_graphs(n):
+                _check_tables(g)
+
+    @given(connected_graphs(min_n=6, max_n=20))
+    @settings(max_examples=60, deadline=None)
+    def test_connected_graphs_of_order_six_to_twenty(self, g):
+        _check_tables(g)
+
+    # Frozen from the distance-matrix tables, recorded before the layers.
+    # On these bipartite graphs Ĝ joins the colour classes completely and
+    # each forward mask is the other colour class.
+    @pytest.mark.parametrize(
+        "g, beta, rows",
+        [
+            (path_graph(20), 10, (0xAAAAA, 0x55555) * 10),
+            (cycle_graph(20), 10, (0xAAAAA, 0x55555) * 10),
+            (
+                hypercube_graph(4),
+                8,
+                (0x6996, 0x9669, 0x9669, 0x6996, 0x9669, 0x6996, 0x6996, 0x9669)
+                + (0x9669, 0x6996, 0x6996, 0x9669, 0x6996, 0x9669, 0x9669, 0x6996),
+            ),
+            (complete_bipartite_graph(8, 10), 8, (0x3FF00,) * 8 + (0xFF,) * 10),
+        ],
+        ids=["P20", "C20", "Q4", "K8_10"],
+    )
+    def test_frozen_ghat_and_forward_masks(self, g, beta, rows):
+        assert g.ghat_rows == rows
+        assert g.ghat_beta == beta
+        assert g.forward_masks == rows
 
 
 class TestCorona:
