@@ -7,11 +7,10 @@ tuples) among all optimal solutions, so results are reproducible.  Instances
 above :data:`MAX_EXACT_ORDER` vertices are rejected rather than searched
 unboundedly.
 
-The cover stream :func:`iter_cover_masks` is a branching search that only
-extends partial choices which can still become a cover of the current size.
-It yields every cover exactly once, in nondecreasing size and lexicographic
-order within a size, so callers that stop at the first optimum get the
-lexicographically smallest one.
+One branching search, :func:`_covers_of_size`, lists the covers of one size
+in lexicographic order.  The cover stream :func:`iter_cover_masks` runs it
+from the matching lower bound up, :func:`lexmin_cover` takes its first
+cover, and :func:`min_cover_size` tries it at that bound before branching.
 """
 
 from __future__ import annotations
@@ -42,34 +41,77 @@ class CoverResult:
 # -- bitmask core -------------------------------------------------------------
 
 
-def _popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 def _matching_lower_bound(adj: tuple[int, ...], active: int) -> int:
     # Greedy maximal matching: each matched edge forces one cover vertex.
     bound = 0
-    remaining = active
-    for v in _bits(active):
-        if not remaining >> v & 1:
-            continue
-        nb = adj[v] & remaining
+    rest = active
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        nb = adj[low.bit_length() - 1] & rest
         if nb:
-            u = (nb & -nb).bit_length() - 1
-            remaining &= ~((1 << v) | (1 << u))
+            rest ^= nb & -nb
             bound += 1
     return bound
 
 
+def _covers_of_size(adj: tuple[int, ...], active: int, size: int) -> Iterator[int]:
+    """The covers with ``size`` vertices (at most ``|active|``) of the
+    subgraph on ``active``, in lexicographic order as sorted tuples.
+
+    A depth-first search decides the vertices in ascending order, "take v"
+    before "leave v out", which forces v's higher neighbours in.  A branch
+    is cut once taken and forced vertices outnumber ``size``, or once the
+    undecided ones cannot reach it, so the work follows the covers.
+    """
+    bits, higher, rest = [], [], active
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        bits.append(bit)
+        higher.append(adj[bit.bit_length() - 1] & rest)
+    m = len(bits)
+    # Open "leave v out" branches: (index of v, taken, len(taken), forced).
+    stack = [(0, 0, 0, 0)]
+    while stack:
+        i, taken, count, forced = stack.pop()
+        while i < m:
+            bit = bits[i]
+            if forced & bit:
+                taken |= bit
+                forced ^= bit
+                count += 1
+                i += 1
+                continue
+            left = forced | higher[i]
+            can_leave = count + left.bit_count() <= size and count + m - i - 1 >= size
+            can_take = count + 1 + forced.bit_count() <= size
+            if not can_take:
+                if not can_leave:
+                    break
+                forced = left
+                i += 1
+                continue
+            if can_leave:
+                stack.append((i + 1, taken, count, left))
+            taken |= bit
+            count += 1
+            i += 1
+        else:
+            yield taken
+
+
 def min_cover_size(adj: tuple[int, ...], active: int) -> int:
-    """Exact minimum vertex cover size of the subgraph induced on ``active``.
+    """Exact minimum vertex cover size of the subgraph induced on ``active``;
+    ``adj`` is read only inside ``active``.
 
     Branch and bound: branch on a highest-degree vertex (take it, or take
     its whole neighborhood), after exhausting the pendant-edge reduction.
+    At the root, a cover at the greedy matching bound ends the search.
     """
-    best = _popcount(active)
+    best = active.bit_count()
 
-    def search(act: int, acc: int) -> None:
+    def search(act: int, acc: int, root: bool = False) -> None:
         nonlocal best
         # Pendant reduction: a degree-1 vertex is never needed, its neighbor is.
         reduced = True
@@ -84,37 +126,33 @@ def min_cover_size(adj: tuple[int, ...], active: int) -> int:
                     act &= ~((1 << v) | nb)
                     reduced = True
                     break
-        if acc + _matching_lower_bound(adj, act) >= best:
+        bound = _matching_lower_bound(adj, act)
+        if acc + bound >= best:
             return
         if not any(adj[v] & act for v in _bits(act)):
             best = min(best, acc)
             return
-        v = max(_bits(act), key=lambda x: _popcount(adj[x] & act))
+        if root and next(_covers_of_size(adj, act, bound), -1) >= 0:
+            best = acc + bound  # a cover at the matching bound is optimal
+            return
+        v = max(_bits(act), key=lambda x: (adj[x] & act).bit_count())
         nb = adj[v] & act
         search(act & ~(1 << v), acc + 1)
-        search(act & ~((1 << v) | nb), acc + _popcount(nb))
+        search(act & ~((1 << v) | nb), acc + nb.bit_count())
 
-    search(active, 0)
+    search(active, 0, root=True)
     return best
 
 
 def lexmin_cover(adj: tuple[int, ...], universe: int, forced: int, size: int) -> int:
     """Lexicographically smallest cover of the ``universe`` subgraph that
-    contains ``forced`` and has exactly ``size`` vertices.
+    contains ``forced`` and has exactly ``size`` vertices (one must exist);
+    ``adj`` is read only inside ``universe``.
 
-    Fixes vertices in ascending order whenever forcing them preserves the
-    optimal size; a vertex that cannot appear in any optimal cover extending
-    the current prefix can never reappear later, so one ascending pass
-    suffices.
+    Two sets sharing ``forced`` compare as their remaining parts do, so
+    this is ``forced`` plus the first cover of the rest of that size.
     """
-    fixed = forced
-    for v in _bits(universe & ~forced):
-        if _popcount(fixed) == size:
-            break
-        candidate = fixed | (1 << v)
-        if _popcount(candidate) + min_cover_size(adj, universe & ~candidate) == size:
-            fixed = candidate
-    return fixed
+    return forced | next(_covers_of_size(adj, universe & ~forced, size - forced.bit_count()))
 
 
 def max_clique_size(adj: tuple[int, ...], candidates: int) -> int:
@@ -126,9 +164,9 @@ def max_clique_size(adj: tuple[int, ...], candidates: int) -> int:
         if cand == 0:
             best = max(best, size)
             return
-        if size + _popcount(cand) <= best:
+        if size + cand.bit_count() <= best:
             return
-        pivot = max(_bits(cand), key=lambda x: _popcount(adj[x] & cand))
+        pivot = max(_bits(cand), key=lambda x: (adj[x] & cand).bit_count())
         rest = cand & ~adj[pivot]
         for v in _bits(rest):
             expand(size + 1, cand & adj[v])
@@ -178,9 +216,9 @@ def clique_number(g: Graph, max_order: int | None = None) -> CoverResult:
     size = max_clique_size(adj, full)
     fixed = 0
     cand = full
-    while _popcount(fixed) < size:
+    while fixed.bit_count() < size:
         for v in _bits(cand):
-            if _popcount(fixed) + 1 + max_clique_size(adj, cand & adj[v]) == size:
+            if fixed.bit_count() + 1 + max_clique_size(adj, cand & adj[v]) == size:
                 fixed |= 1 << v
                 cand &= adj[v]
                 break
@@ -205,8 +243,8 @@ def min_cover_containing(
     restrict_mask = g.mask(restrict_to)
     if forced_mask & ~restrict_mask:
         raise GraphError("forced vertices must lie inside the restriction set")
-    adj = tuple(g.adjacency_bits[v] & restrict_mask for v in range(g.n))
-    size = _popcount(forced_mask) + min_cover_size(adj, restrict_mask & ~forced_mask)
+    adj = g.adjacency_bits
+    size = forced_mask.bit_count() + min_cover_size(adj, restrict_mask & ~forced_mask)
     witness = lexmin_cover(adj, restrict_mask, forced_mask, size)
     return CoverResult(size, frozenset(_bits(witness)))
 
@@ -229,42 +267,9 @@ def iter_cover_masks(
     (as sorted tuples, the order of ``itertools.combinations``), each cover
     exactly once.
 
-    For each size k a depth-first search decides the vertices in ascending
-    order, trying "take v" before "leave v out".  Leaving v out forces every
-    higher neighbour into the cover, and a vertex forced by a lower neighbour
-    must be taken.  A branch is cut once the taken and forced vertices
-    outnumber k, or once the undecided vertices cannot bring it up to k, so
-    the work follows the covers rather than all subsets.
+    Sizes start at the matching lower bound; each is one :func:`_covers_of_size`.
     """
-    higher = [adj[v] >> (v + 1) << (v + 1) for v in range(n)]
-    for size in range(min(max_size, n) + 1):
-        # Open "leave v out" branches: (v, taken, len(taken), forced).
-        stack = [(0, 0, 0, 0)]
-        while stack:
-            v, taken, count, forced = stack.pop()
-            while v < n:
-                bit = 1 << v
-                if forced & bit:
-                    taken |= bit
-                    forced ^= bit
-                    count += 1
-                    v += 1
-                    continue
-                left = forced | higher[v]
-                can_leave = (
-                    count + left.bit_count() <= size and count + n - v - 1 >= size
-                )
-                can_take = count + 1 + forced.bit_count() <= size
-                if not can_take:
-                    if not can_leave:
-                        break
-                    forced = left
-                    v += 1
-                    continue
-                if can_leave:
-                    stack.append((v + 1, taken, count, left))
-                taken |= bit
-                count += 1
-                v += 1
-            else:
-                yield size, taken
+    full = (1 << n) - 1
+    for size in range(_matching_lower_bound(adj, full), min(max_size, n) + 1):
+        for mask in _covers_of_size(adj, full, size):
+            yield size, mask

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from . import covers
 from .errors import BudgetError, GraphError, check_budget
-from .graphs import Graph, corona
+from .graphs import Graph, _bits, corona
 
 #: Order cap for the exact hitting-set searches (ξ and ξ_total) on one graph.
 MAX_BRUTE_ORDER = 18
@@ -34,8 +34,6 @@ MAX_BETA_STAR_ORDER = 16
 
 #: Sentinel value of the total variant when no finite set exists.
 INFINITE = math.inf
-
-_bits = covers._bits
 
 
 @dataclass(frozen=True)
@@ -233,15 +231,14 @@ def _best_split(g: Graph, n_h: int) -> tuple[int, int, int]:
             break
         outside = full & ~umask
         mandatory = _mandatory(fw, umask, outside)
-        sub_adj = tuple(adj[v] & umask for v in range(n))
         active = umask & ~mandatory
         # With U = V nothing is mandatory and the subproblem is Ĝ itself.
         t = mandatory.bit_count() + (
-            beta if active == full else covers.min_cover_size(sub_adj, active)
+            beta if active == full else covers.min_cover_size(adj, active)
         )
         cost = base + t
         if best is None or cost < best[0]:
-            tmask = covers.lexmin_cover(sub_adj, umask, mandatory, t)
+            tmask = covers.lexmin_cover(adj, umask, mandatory, t)
             best = (cost, umask, outside | tmask)
             if cost == floor:
                 break

@@ -2,9 +2,9 @@
 and join constructions.
 
 One table is built per graph: the distance layers, a bitset BFS from every
-vertex.  The all-pairs distances, the pair bisector masks, the forward masks
-and the adjacency rows of the empty bisector graph Ĝ are each read off the
-layers on first use, and β(Ĝ) off the rows.
+vertex.  The all-pairs distances and the pair bisector masks are read off
+the layers on first use, the forward masks and the adjacency rows of the
+empty bisector graph Ĝ off one shared walk over them, and β(Ĝ) off the rows.
 
 Vertices are always the integers ``0 .. n-1`` internally.  A graph may carry
 external vertex labels (for instance the 1-indexed names used in input
@@ -185,24 +185,32 @@ class Graph:
         return tuple(out)
 
     @cached_property
-    def forward_masks(self) -> tuple[int, ...]:
-        """``masks[x]`` has bit v set iff some w has d(w, x) = d(w, v) + 1:
-        every x in layer d of w gets layer d - 1 of w.  Connected graphs
-        only."""
+    def _forward_and_ghat(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        # One walk: x in layer d of w gets layer d - 1 in fw[x], layer d in near[x].
         self.require_connected()
-        out = [0] * self.n
+        fw, near = [0] * self.n, [0] * self.n
         for layers in self._distance_layers:
             prev = 0
             for layer in layers:
                 rest = layer
                 while rest:
                     low = rest & -rest
-                    out[low.bit_length() - 1] |= prev
+                    x = low.bit_length() - 1
+                    fw[x] |= prev
+                    near[x] |= layer
                     rest ^= low
                 prev = layer
-        return tuple(out)
+        full = (1 << self.n) - 1
+        return tuple(fw), tuple(full & ~mask for mask in near)
 
-    @cached_property
+    @property
+    def forward_masks(self) -> tuple[int, ...]:
+        """``masks[x]`` has bit v set iff some w has d(w, x) = d(w, v) + 1:
+        every x in layer d of w gets layer d - 1 of w.  Connected graphs
+        only."""
+        return self._forward_and_ghat[0]
+
+    @property
     def ghat_rows(self) -> tuple[int, ...]:
         """Adjacency rows of the empty bisector graph Ĝ, which joins the
         pairs with no equidistant vertex.  Connected graphs only.
@@ -213,17 +221,7 @@ class Graph:
         graph made the slowest corona-ladder requests of ``perfbench``
         about 8% slower on a shared 2-vCPU host.
         """
-        self.require_connected()
-        near = [0] * self.n
-        for layers in self._distance_layers:
-            for layer in layers:
-                rest = layer
-                while rest:
-                    low = rest & -rest
-                    near[low.bit_length() - 1] |= layer
-                    rest ^= low
-        full = (1 << self.n) - 1
-        return tuple(full & ~mask for mask in near)
+        return self._forward_and_ghat[1]
 
     @cached_property
     def ghat_beta(self) -> int:

@@ -48,6 +48,40 @@ def min_vertex_cover(n, edges):
     raise AssertionError("unreachable: the full vertex set is a cover")
 
 
+@lru_cache(maxsize=None)
+def _subsets_in_scan_order(universe):
+    """Bitmasks of the subsets of the sorted tuple ``universe``, by size and
+    then lexicographically, the order of ``itertools.combinations``."""
+    return tuple(
+        sum(1 << v for v in combo)
+        for k in range(len(universe) + 1)
+        for combo in combinations(universe, k)
+    )
+
+
+def min_cover_within(edges, universe, forced=0):
+    """``(size, mask)`` of the smallest subset of ``universe`` that holds
+    ``forced`` and covers every edge with both ends in ``universe`` (the
+    sets are bitmasks): the first hit of the size-then-lexicographic subset
+    scan."""
+    inner = tuple(
+        1 << u | 1 << v for u, v in edges if universe >> u & 1 and universe >> v & 1
+    )
+    members = tuple(v for v in range(universe.bit_length()) if universe >> v & 1)
+    chosen = _first_cover(inner, members, forced)
+    return chosen.bit_count(), chosen
+
+
+@lru_cache(maxsize=4096)
+def _first_cover(inner, universe, forced):
+    # Keyed by the edges inside the universe, so graphs that agree there
+    # share one scan.
+    for chosen in _subsets_in_scan_order(universe):
+        if chosen & forced == forced and all(edge & chosen for edge in inner):
+            return chosen
+    raise AssertionError("unreachable: the universe covers its own edges")
+
+
 def cover_stream(n, edges, max_size):
     """Every vertex cover of at most ``max_size`` vertices as ``(size, mask)``,
     by subset scan in size-then-lexicographic order."""

@@ -19,13 +19,15 @@ from equidim import (
     min_cover_containing,
     vertex_cover_number,
 )
-from equidim.covers import iter_cover_masks
+from equidim.covers import iter_cover_masks, lexmin_cover, min_cover_size
 from equidim.families import (
+    FamilySpec,
     chorded_path_graph,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     empty_graph,
+    generate,
 )
 
 
@@ -177,18 +179,98 @@ class TestMinCoverContaining:
         restrict = frozenset(v for v in range(g.n) if rng.random() < 0.7)
         forced = frozenset(v for v in restrict if rng.random() < 0.3)
         result = min_cover_containing(g, forced, restrict)
-        inner = [(u, v) for u, v in g.edges if u in restrict and v in restrict]
-        best = None
-        for k in range(len(restrict) + 1):
-            for combo in combinations(sorted(restrict), k):
-                chosen = set(combo)
-                if forced <= chosen and all(u in chosen or v in chosen for u, v in inner):
-                    best = (k, chosen)
-                    break
-            if best:
-                break
-        assert result.value == best[0]
-        assert result.witness == frozenset(best[1])
+        size, mask = oracles.min_cover_within(g.edges, g.mask(restrict), g.mask(forced))
+        assert result.value == size
+        assert result.witness == frozenset(_members(mask))
+
+
+def _members(mask):
+    return {v for v in range(mask.bit_length()) if mask >> v & 1}
+
+
+def _relabelled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def _labelled_graphs(max_n):
+    """``(n, edges, adjacency rows)`` of every labelled graph of order at
+    most ``max_n``."""
+    for n in range(max_n + 1):
+        slots = list(combinations(range(n), 2))
+        for chosen in range(1 << len(slots)):
+            edges = [e for i, e in enumerate(slots) if chosen >> i & 1]
+            adj = [0] * n
+            for u, v in edges:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            yield n, edges, tuple(adj)
+
+
+def _forced_in(universe):
+    # A fixed nonempty subset of a nonempty universe.
+    return universe & 0b100100 or universe & -universe
+
+
+class TestSubgraphSolvers:
+    """``min_cover_size`` and ``lexmin_cover`` on proper induced subgraphs,
+    reading the whole graph's rows, against the constrained subset scan.
+    The whole-graph case is checked beside the cover stream."""
+
+    def test_every_labelled_graph_up_to_order_six(self):
+        for n, edges, adj in _labelled_graphs(6):
+            full = (1 << n) - 1
+            for universe in (full & 0b101101, full & 0b011010):
+                size, _ = oracles.min_cover_within(edges, universe)
+                assert min_cover_size(adj, universe) == size, (edges, universe)
+            universe = full & 0b101101
+            if universe:
+                forced = _forced_in(universe)
+                size, mask = oracles.min_cover_within(edges, universe, forced)
+                got = lexmin_cover(adj, universe, forced, size)
+                assert got == mask, (edges, universe, forced)
+
+
+class TestFrozenGhatCovers:
+    """β(Ĝ) and the lex-min minimum cover of Ĝ, recorded from the solver
+    that found them by a per-vertex branch and bound before covers were read
+    off the matching bound.  Each ladder graph is relabelled by
+    ``random.Random(i)`` for its index i."""
+
+    LADDER = [
+        (("cycle", (14,)), 7, 0xB4B),
+        (("cycle", (16,)), 8, 0x92CD),
+        (("cycle", (18,)), 9, 0x3381B),
+        (("cycle", (20,)), 10, 0xCE155),
+        (("path", (14,)), 7, 0x2275),
+        (("path", (16,)), 8, 0x1E55),
+        (("path", (18,)), 9, 0x29A71),
+        (("path", (20,)), 10, 0x4956D),
+        (("hypercube", (4,)), 8, 0xE097),
+        (("complete-bipartite", (8, 10)), 8, 0x1325A),
+    ]
+
+    @pytest.mark.parametrize("i", range(len(LADDER)))
+    def test_corona_ladder_graphs(self, i):
+        (name, params), beta, witness = self.LADDER[i]
+        g = _relabelled(generate(FamilySpec(name, params)), i)
+        full = (1 << g.n) - 1
+        assert g.ghat_beta == beta
+        assert lexmin_cover(g.ghat_rows, full, 0, beta) == witness
+        result = vertex_cover_number(empty_bisector_graph(g).graph)
+        assert (result.value, result.witness) == (beta, frozenset(_members(witness)))
+
+    def test_k14_with_a_leaf_per_vertex(self):
+        # Ĝ is the perfect matching {i, 14 + i} on 28 vertices.
+        g = Graph(28, list(complete_graph(14).edges) + [(i, 14 + i) for i in range(14)])
+        full = (1 << 28) - 1
+        assert g.ghat_rows == tuple(1 << 14 + i for i in range(14)) + tuple(
+            1 << i for i in range(14)
+        )
+        assert g.ghat_beta == 14
+        assert lexmin_cover(g.ghat_rows, full, 0, 14) == 0x3FFF
+        assert next(iter_cover_masks(g.ghat_rows, 28, 28)) == (14, 0x3FFF)
 
 
 class TestEnumerateCovers:
@@ -228,23 +310,24 @@ class TestEnumerateCovers:
 
 class TestCoverStream:
     """``iter_cover_masks`` against the definition-level subset scan, compared
-    as lists, so order and multiplicity are checked along with membership."""
+    as lists, so order and multiplicity are checked along with membership.
+    The scan also pins the whole-graph ``min_cover_size`` (its first size)
+    and ``lexmin_cover`` with a forced set (its first cover holding it)."""
 
     def test_equals_subset_scan_on_all_small_labelled_graphs(self):
         # Every labelled graph of order <= 6; the stream is ordered, so the
         # streams for smaller max_size are prefixes of the full one.
         checked = 0
-        for n in range(7):
-            slots = list(combinations(range(n), 2))
-            for chosen in range(1 << len(slots)):
-                edges = [e for i, e in enumerate(slots) if chosen >> i & 1]
-                adj = [0] * n
-                for u, v in edges:
-                    adj[u] |= 1 << v
-                    adj[v] |= 1 << u
-                got = list(iter_cover_masks(tuple(adj), n, n))
-                assert got == oracles.cover_stream(n, edges, n), (n, edges)
-                checked += 1
+        for n, edges, adj in _labelled_graphs(6):
+            want = oracles.cover_stream(n, edges, n)
+            assert list(iter_cover_masks(adj, n, n)) == want, (n, edges)
+            full = (1 << n) - 1
+            assert min_cover_size(adj, full) == want[0][0], (n, edges)
+            if n:
+                forced = _forced_in(full)
+                size, mask = next((k, m) for k, m in want if m & forced == forced)
+                assert lexmin_cover(adj, full, forced, size) == mask, (n, edges)
+            checked += 1
         assert checked == 33868
 
     @given(connected_graphs(min_n=7, max_n=10), st.data())

@@ -413,7 +413,8 @@ class TestKThreshold:
         row_builds = []
         builds = []
         solves = []
-        rows = Graph.__dict__["ghat_rows"].func
+        # One walk builds the forward masks and the Ĝ rows together.
+        rows = Graph.__dict__["_forward_and_ghat"].func
         build = bisectors.empty_bisector_graph
         solve = covers.min_cover_size
 
@@ -430,8 +431,8 @@ class TestKThreshold:
             return solve(adj, active)
 
         counted = cached_property(counted_rows)
-        counted.__set_name__(Graph, "ghat_rows")
-        monkeypatch.setattr(Graph, "ghat_rows", counted)
+        counted.__set_name__(Graph, "_forward_and_ghat")
+        monkeypatch.setattr(Graph, "_forward_and_ghat", counted)
         monkeypatch.setattr(bisectors, "empty_bisector_graph", counted_build)
         monkeypatch.setattr(covers, "min_cover_size", counted_solve)
         line = k_threshold(g)
