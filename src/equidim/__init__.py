@@ -11,10 +11,8 @@ from .bisectors import EmptyBisectorGraph, bisector, empty_bisector_graph
 from .covers import (
     CoverResult,
     clique_number,
-    enumerate_vertex_covers,
     independence_number,
     is_vertex_cover,
-    min_cover_containing,
     vertex_cover_number,
 )
 from .equalizers import (
@@ -86,7 +84,6 @@ __all__ = [
     "degree_profile",
     "eccentricity2_case",
     "empty_bisector_graph",
-    "enumerate_vertex_covers",
     "forward_equalized",
     "format_edge_list",
     "generate",
@@ -97,7 +94,6 @@ __all__ = [
     "join_formula",
     "k_threshold",
     "mandatory_set",
-    "min_cover_containing",
     "parse_edge_list",
     "seeded_corpus",
     "to_dot",

@@ -138,7 +138,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="bound chain and exact value")
     p.add_argument("graph")
     p.add_argument("--nh", type=int, required=True, metavar="K")
-    _add_common(p)
+    _add_common(p, budget=False)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=sorted(suites.SUITES))

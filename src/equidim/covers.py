@@ -1,5 +1,5 @@
-"""Exact vertex cover, independence and clique numbers, constrained covers,
-and bounded enumeration of vertex covers.
+"""Exact vertex cover, independence and clique numbers, and the stream of
+vertex covers in size-then-lexicographic order.
 
 All solvers work on bitmask adjacency rows and are exact.  Witnesses are
 tie-broken to the lexicographically smallest vertex set (compared as sorted
@@ -8,9 +8,12 @@ above :data:`MAX_EXACT_ORDER` vertices are rejected rather than searched
 unboundedly.
 
 One branching search, :func:`_covers_of_size`, lists the covers of one size
-in lexicographic order.  The cover stream :func:`iter_cover_masks` runs it
-from the matching lower bound up, :func:`lexmin_cover` takes its first
-cover, and :func:`min_cover_size` tries it at that bound before branching.
+in lexicographic order, and every optimum here is read off it.  The cover
+stream :func:`iter_cover_masks` runs it from the clique-partition lower
+bound up, :func:`lexmin_cover` takes its first cover, :func:`min_cover_size`
+returns the first size from that bound up that has a cover, and
+:func:`clique_number` solves covers of the complement, whose independent
+sets are the cliques.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import GraphError, check_budget
+from .errors import check_budget
 from .graphs import Graph, _bits
 
 #: Hard cap on the order accepted by the exact solvers.
@@ -41,16 +44,20 @@ class CoverResult:
 # -- bitmask core -------------------------------------------------------------
 
 
-def _matching_lower_bound(adj: tuple[int, ...], active: int) -> int:
-    # Greedy maximal matching: each matched edge forces one cover vertex.
+def _clique_lower_bound(adj: tuple[int, ...], active: int) -> int:
+    # Greedy clique partition, each clique grown from its lowest vertex: a
+    # cover holds all but at most one vertex of every clique.  On a
+    # triangle-free graph this is the greedy maximal matching.
     bound = 0
     rest = active
     while rest:
         low = rest & -rest
         rest ^= low
-        nb = adj[low.bit_length() - 1] & rest
-        if nb:
-            rest ^= nb & -nb
+        common = adj[low.bit_length() - 1] & rest
+        while common:
+            bit = common & -common
+            rest ^= bit
+            common &= adj[bit.bit_length() - 1]
             bound += 1
     return bound
 
@@ -105,43 +112,24 @@ def min_cover_size(adj: tuple[int, ...], active: int) -> int:
     """Exact minimum vertex cover size of the subgraph induced on ``active``;
     ``adj`` is read only inside ``active``.
 
-    Branch and bound: branch on a highest-degree vertex (take it, or take
-    its whole neighborhood), after exhausting the pendant-edge reduction.
-    At the root, a cover at the greedy matching bound ends the search.
+    One ascending walk drops isolated vertices and takes the neighbour of
+    each degree-1 vertex (some minimum cover holds it).  The answer is then
+    the first size, from the clique-partition bound up, at which
+    :func:`_covers_of_size` finds a cover of what is left.
     """
-    best = active.bit_count()
-
-    def search(act: int, acc: int, root: bool = False) -> None:
-        nonlocal best
-        # Pendant reduction: a degree-1 vertex is never needed, its neighbor is.
-        reduced = True
-        while reduced:
-            reduced = False
-            for v in _bits(act):
-                nb = adj[v] & act
-                if nb == 0:
-                    act &= ~(1 << v)
-                elif nb & (nb - 1) == 0:
-                    acc += 1
-                    act &= ~((1 << v) | nb)
-                    reduced = True
-                    break
-        bound = _matching_lower_bound(adj, act)
-        if acc + bound >= best:
-            return
-        if not any(adj[v] & act for v in _bits(act)):
-            best = min(best, acc)
-            return
-        if root and next(_covers_of_size(adj, act, bound), -1) >= 0:
-            best = acc + bound  # a cover at the matching bound is optimal
-            return
-        v = max(_bits(act), key=lambda x: (adj[x] & act).bit_count())
-        nb = adj[v] & act
-        search(act & ~(1 << v), acc + 1)
-        search(act & ~((1 << v) | nb), acc + nb.bit_count())
-
-    search(active, 0, root=True)
-    return best
+    acc, rest = 0, active
+    while rest:
+        bit = rest & -rest
+        nb = adj[bit.bit_length() - 1] & active
+        if nb & (nb - 1) == 0:  # degree 0 or 1
+            if nb:
+                acc += 1
+            active &= ~(bit | nb)
+        rest = (rest ^ bit) & active
+    size = _clique_lower_bound(adj, active)
+    while next(_covers_of_size(adj, active, size), None) is None:
+        size += 1
+    return acc + size
 
 
 def lexmin_cover(adj: tuple[int, ...], universe: int, forced: int, size: int) -> int:
@@ -153,27 +141,6 @@ def lexmin_cover(adj: tuple[int, ...], universe: int, forced: int, size: int) ->
     this is ``forced`` plus the first cover of the rest of that size.
     """
     return forced | next(_covers_of_size(adj, universe & ~forced, size - forced.bit_count()))
-
-
-def max_clique_size(adj: tuple[int, ...], candidates: int) -> int:
-    """Exact maximum clique size within ``candidates`` (pivoting search)."""
-    best = 0
-
-    def expand(size: int, cand: int) -> None:
-        nonlocal best
-        if cand == 0:
-            best = max(best, size)
-            return
-        if size + cand.bit_count() <= best:
-            return
-        pivot = max(_bits(cand), key=lambda x: (adj[x] & cand).bit_count())
-        rest = cand & ~adj[pivot]
-        for v in _bits(rest):
-            expand(size + 1, cand & adj[v])
-            cand &= ~(1 << v)
-
-    expand(0, candidates)
-    return best
 
 
 # -- public operations --------------------------------------------------------
@@ -209,54 +176,33 @@ def independence_number(g: Graph, max_order: int | None = None) -> CoverResult:
 
 
 def clique_number(g: Graph, max_order: int | None = None) -> CoverResult:
-    """Exact maximum clique with the lexicographically smallest witness."""
+    """Exact maximum clique with the lexicographically smallest witness.
+
+    A clique within ``cand`` is an independent set of the complement, so
+    its largest size is ``|cand|`` minus the complement's minimum cover
+    there.  The witness fixes the lowest vertex that still extends to a
+    maximum clique, one vertex at a time.
+    """
     check_budget(g.n, max_order, MAX_EXACT_ORDER)
     adj = g.adjacency_bits
     full = (1 << g.n) - 1
-    size = max_clique_size(adj, full)
+    comp = tuple(full & ~row & ~(1 << v) for v, row in enumerate(adj))
+
+    def largest(cand: int) -> int:
+        return cand.bit_count() - min_cover_size(comp, cand)
+
+    size = largest(full)
     fixed = 0
     cand = full
     while fixed.bit_count() < size:
         for v in _bits(cand):
-            if fixed.bit_count() + 1 + max_clique_size(adj, cand & adj[v]) == size:
+            if fixed.bit_count() + 1 + largest(cand & adj[v]) == size:
                 fixed |= 1 << v
                 cand &= adj[v]
                 break
         else:
             raise AssertionError("no extension of a partial maximum clique; solver bug")
     return CoverResult(size, frozenset(_bits(fixed)))
-
-
-def min_cover_containing(
-    g: Graph,
-    forced: Iterable[int],
-    restrict_to: Iterable[int],
-    max_order: int | None = None,
-) -> CoverResult:
-    """Minimum vertex cover of the subgraph induced on ``restrict_to`` among
-    covers containing ``forced``.
-
-    Always feasible: ``restrict_to`` itself covers its induced subgraph.
-    """
-    check_budget(g.n, max_order, MAX_EXACT_ORDER)
-    forced_mask = g.mask(forced)
-    restrict_mask = g.mask(restrict_to)
-    if forced_mask & ~restrict_mask:
-        raise GraphError("forced vertices must lie inside the restriction set")
-    adj = g.adjacency_bits
-    size = forced_mask.bit_count() + min_cover_size(adj, restrict_mask & ~forced_mask)
-    witness = lexmin_cover(adj, restrict_mask, forced_mask, size)
-    return CoverResult(size, frozenset(_bits(witness)))
-
-
-def enumerate_vertex_covers(g: Graph, max_size: int) -> Iterator[frozenset[int]]:
-    """Yield every vertex cover of size at most ``max_size`` exactly once,
-    in nondecreasing size and lexicographic order within each size."""
-    if not 0 <= max_size <= g.n:
-        raise GraphError(f"max_size must lie in 0..{g.n}, got {max_size}")
-    check_budget(g.n, None, MAX_EXACT_ORDER)
-    for size, mask in iter_cover_masks(g.adjacency_bits, g.n, max_size):
-        yield frozenset(_bits(mask))
 
 
 def iter_cover_masks(
@@ -267,9 +213,10 @@ def iter_cover_masks(
     (as sorted tuples, the order of ``itertools.combinations``), each cover
     exactly once.
 
-    Sizes start at the matching lower bound; each is one :func:`_covers_of_size`.
+    Sizes start at the clique-partition lower bound, below which no cover
+    exists; each size is one :func:`_covers_of_size`.
     """
     full = (1 << n) - 1
-    for size in range(_matching_lower_bound(adj, full), min(max_size, n) + 1):
+    for size in range(_clique_lower_bound(adj, full), min(max_size, n) + 1):
         for mask in _covers_of_size(adj, full, size):
             yield size, mask

@@ -176,12 +176,7 @@ def forward_equalized(g: Graph, pair: ForwardPair) -> bool:
     full = (1 << g.n) - 1
     if xmask | ymask != full:
         raise GraphError("the two sets must jointly cover every vertex")
-    fw = g.forward_masks
-    only_y = ymask & ~xmask
-    for u in _bits(xmask & ~ymask):
-        if only_y & ~fw[u]:
-            return False
-    return True
+    return _mandatory(g.forward_masks, xmask & ~ymask, ymask & ~xmask) == 0
 
 
 def _mandatory(fw: tuple[int, ...], umask: int, outside: int) -> int:

@@ -300,9 +300,6 @@ class CoronaGraph:
         self.copy = copy
         self.product = Graph(ng * (1 + nh), edges)
 
-    def base_vertex(self, i: int) -> int:
-        return i
-
     def copy_vertex(self, i: int, j: int) -> int:
         return self.base.n + i * self.copy.n + j
 

@@ -105,15 +105,23 @@ def max_independent_set_size(n, edges):
     return best
 
 
-def max_clique_size(n, edges):
-    adjacent = {frozenset(e) for e in edges}
-    for k in range(n, 1, -1):
-        for combo in combinations(range(n), k):
-            if all(
-                frozenset((u, v)) in adjacent for u, v in combinations(combo, 2)
-            ):
-                return k
-    return 1 if n >= 1 else 0
+def max_clique(n, edges):
+    """The largest clique as ``(size, mask)``: the first of that size in
+    ``itertools.combinations`` order, i.e. lexicographically smallest."""
+    closed = [1 << v for v in range(n)]
+    for u, v in edges:
+        closed[u] |= 1 << v
+        closed[v] |= 1 << u
+    for k in range(n, 0, -1):
+        for combo, chosen in _combinations_with_masks(n, k):
+            if all(closed[v] & chosen == chosen for v in combo):
+                return k, chosen
+    return 0, 0
+
+
+@lru_cache(maxsize=None)
+def _combinations_with_masks(n, k):
+    return tuple((combo, sum(1 << v for v in combo)) for combo in combinations(range(n), k))
 
 
 def bisector_set(dist, u, v):

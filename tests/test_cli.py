@@ -145,6 +145,13 @@ def test_bounds(capsys, fish_file):
     assert (payload["lower"], payload["exact"], payload["upper"]) == (6, 6, 7)
 
 
+def test_bounds_takes_no_budget(capsys, fish_file):
+    # bounds_report takes no order cap, so the flag would go unread.
+    code, out, err = run(capsys, "bounds", fish_file, "--nh", "2", "--budget", "3")
+    assert code == 1 and out == ""
+    assert "--budget" in err
+
+
 def test_dist(capsys, fish_file):
     code, out, _ = run(capsys, "dist", fish_file, "--json")
     payload = json.loads(out)

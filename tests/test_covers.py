@@ -13,13 +13,16 @@ from equidim import (
     GraphError,
     clique_number,
     empty_bisector_graph,
-    enumerate_vertex_covers,
     independence_number,
     is_vertex_cover,
-    min_cover_containing,
     vertex_cover_number,
 )
-from equidim.covers import iter_cover_masks, lexmin_cover, min_cover_size
+from equidim.covers import (
+    _clique_lower_bound,
+    iter_cover_masks,
+    lexmin_cover,
+    min_cover_size,
+)
 from equidim.families import (
     FamilySpec,
     chorded_path_graph,
@@ -133,7 +136,7 @@ class TestCliqueNumber:
             n = rng.randint(1, 9)
             g = random_graph(rng, n, rng.choice((0.3, 0.6)))
             result = clique_number(g)
-            assert result.value == oracles.max_clique_size(n, g.edges)
+            assert result.value == oracles.max_clique(n, g.edges)[0]
             assert all(g.has_edge(u, v) for u, v in combinations(sorted(result.witness), 2))
 
     def test_witness_is_lexicographically_first(self):
@@ -150,27 +153,29 @@ class TestCliqueNumber:
             assert result.witness == frozenset(first)
 
 
+def _min_cover_containing(g, forced, restrict):
+    """``(size, lex-min witness)`` of the minimum cover of the subgraph on
+    ``restrict`` that holds ``forced``, composed as the corona search's t(U)
+    subproblem composes it."""
+    adj, forced, restrict = g.adjacency_bits, g.mask(forced), g.mask(restrict)
+    size = forced.bit_count() + min_cover_size(adj, restrict & ~forced)
+    return size, frozenset(_members(lexmin_cover(adj, restrict, forced, size)))
+
+
 class TestMinCoverContaining:
     def test_triangle_forced_vertex(self):
-        result = min_cover_containing(complete_graph(3), {0}, {0, 1, 2})
-        assert result.value == 2
-        assert result.witness == frozenset({0, 1})
+        got = _min_cover_containing(complete_graph(3), {0}, {0, 1, 2})
+        assert got == (2, frozenset({0, 1}))
 
     def test_fish_ghat_tail(self, fish, fish_ghat):
         # Frozen from a subset scan over the subsets of {4, 5, 6}.
         restrict = labelset(fish, 4, 5, 6)
-        result = min_cover_containing(fish_ghat, frozenset(), restrict)
-        assert result.value == 1
-        assert result.witness == labelset(fish, 4)
+        got = _min_cover_containing(fish_ghat, frozenset(), restrict)
+        assert got == (1, labelset(fish, 4))
 
     def test_forced_equals_restriction(self):
-        g = cycle_graph(5)
-        result = min_cover_containing(g, {1, 2, 3}, {1, 2, 3})
-        assert result.value == 3 and result.witness == frozenset({1, 2, 3})
-
-    def test_forced_outside_restriction_rejected(self):
-        with pytest.raises(GraphError, match="inside"):
-            min_cover_containing(cycle_graph(4), {0}, {1, 2})
+        got = _min_cover_containing(cycle_graph(5), {1, 2, 3}, {1, 2, 3})
+        assert got == (3, frozenset({1, 2, 3}))
 
     @given(connected_graphs(max_n=7))
     @settings(max_examples=40)
@@ -178,10 +183,8 @@ class TestMinCoverContaining:
         rng = random.Random(g.n * 1000 + g.m)
         restrict = frozenset(v for v in range(g.n) if rng.random() < 0.7)
         forced = frozenset(v for v in restrict if rng.random() < 0.3)
-        result = min_cover_containing(g, forced, restrict)
         size, mask = oracles.min_cover_within(g.edges, g.mask(restrict), g.mask(forced))
-        assert result.value == size
-        assert result.witness == frozenset(_members(mask))
+        assert _min_cover_containing(g, forced, restrict) == (size, frozenset(_members(mask)))
 
 
 def _members(mask):
@@ -273,21 +276,66 @@ class TestFrozenGhatCovers:
         assert next(iter_cover_masks(g.ghat_rows, 28, 28)) == (14, 0x3FFF)
 
 
+def _clique_chain(k, count):
+    # ``count`` copies of K_k in a row, each joined to the next by one edge.
+    edges = []
+    for c in range(count):
+        off = c * k
+        edges += [(off + a, off + b) for a, b in combinations(range(k), 2)]
+        if c:
+            edges.append((off - 1, off))
+    return Graph(k * count, edges)
+
+
+class TestFrozenPlainGraphs:
+    """``vertex_cover_number`` and ``clique_number`` with their witnesses
+    (as masks) on graphs of order 25-28, recorded from the solvers that
+    found them by a max-degree branch and bound and a pivoting clique
+    search."""
+
+    CASES = [
+        ("K3x9", lambda: _clique_chain(3, 9), (18, 0x36DB6DB), (3, 0x7)),
+        ("K4x7", lambda: _clique_chain(4, 7), (21, 0x7777777), (4, 0xF)),
+        ("K5x5", lambda: _clique_chain(5, 5), (20, 0xF7BDEF), (5, 0x1F)),
+        ("K7x4", lambda: _clique_chain(7, 4), (24, 0x7EFDFBF), (7, 0x7F)),
+        ("G(28,0.95)", lambda: random_graph(random.Random(2895), 28, 0.95),
+         (25, 0xFFFFEFA), (19, 0x65DDEDB)),
+    ]
+
+    @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+    def test_values_and_witnesses(self, case):
+        _, build, cover, clique = case
+        g = build()
+        for got, (value, mask) in (
+            (vertex_cover_number(g), cover),
+            (clique_number(g), clique),
+        ):
+            assert (got.value, got.witness) == (value, frozenset(_members(mask)))
+
+
+def _cover_sets(g, max_size):
+    return [
+        frozenset(_members(mask))
+        for _, mask in iter_cover_masks(g.adjacency_bits, g.n, max_size)
+    ]
+
+
 class TestEnumerateCovers:
+    """The cover stream on named graphs, as vertex sets."""
+
     def test_fish_ghat_unique_minimum(self, fish, fish_ghat):
-        assert list(enumerate_vertex_covers(fish_ghat, 1)) == [labelset(fish, 4)]
+        assert _cover_sets(fish_ghat, 1) == [labelset(fish, 4)]
 
     def test_edgeless_size_zero(self):
-        assert list(enumerate_vertex_covers(empty_graph(3), 0)) == [frozenset()]
+        assert _cover_sets(empty_graph(3), 0) == [frozenset()]
 
     def test_c4_opposite_pairs(self):
         # Frozen by enumerating all 2-subsets of the 4-cycle.
-        got = list(enumerate_vertex_covers(cycle_graph(4), 2))
+        got = _cover_sets(cycle_graph(4), 2)
         assert got == [frozenset({0, 2}), frozenset({1, 3})]
 
     def test_stream_order_contract(self):
-        g = cycle_graph(5)
-        seen = list(enumerate_vertex_covers(g, 5))
+        seen = _cover_sets(cycle_graph(5), 5)
         keyed = [(len(s), tuple(sorted(s))) for s in seen]
         assert keyed == sorted(keyed)
         assert len(set(keyed)) == len(keyed)
@@ -295,7 +343,7 @@ class TestEnumerateCovers:
     @given(connected_graphs(max_n=6))
     @settings(max_examples=30)
     def test_complete_and_upward_closed(self, g):
-        seen = set(enumerate_vertex_covers(g, g.n))
+        seen = set(_cover_sets(g, g.n))
         for mask in range(1 << g.n):
             s = frozenset(v for v in range(g.n) if mask >> v & 1)
             assert (s in seen) == is_vertex_cover(g, s)
@@ -303,16 +351,13 @@ class TestEnumerateCovers:
             for v in range(g.n):
                 assert s | {v} in seen
 
-    def test_bad_max_size(self):
-        with pytest.raises(GraphError):
-            list(enumerate_vertex_covers(cycle_graph(3), 4))
-
 
 class TestCoverStream:
     """``iter_cover_masks`` against the definition-level subset scan, compared
     as lists, so order and multiplicity are checked along with membership.
     The scan also pins the whole-graph ``min_cover_size`` (its first size)
-    and ``lexmin_cover`` with a forced set (its first cover holding it)."""
+    and ``lexmin_cover`` with a forced set (its first cover holding it); the
+    same graphs check ``clique_number`` and its lex-first witness."""
 
     def test_equals_subset_scan_on_all_small_labelled_graphs(self):
         # Every labelled graph of order <= 6; the stream is ordered, so the
@@ -327,6 +372,9 @@ class TestCoverStream:
                 forced = _forced_in(full)
                 size, mask = next((k, m) for k, m in want if m & forced == forced)
                 assert lexmin_cover(adj, full, forced, size) == mask, (n, edges)
+                size, mask = oracles.max_clique(n, edges)
+                result = clique_number(Graph(n, edges))
+                assert (result.value, result.witness) == (size, frozenset(_members(mask)))
             checked += 1
         assert checked == 33868
 
@@ -336,3 +384,13 @@ class TestCoverStream:
         max_size = data.draw(st.integers(0, g.n))
         got = list(iter_cover_masks(g.adjacency_bits, g.n, max_size))
         assert got == oracles.cover_stream(g.n, g.edges, max_size)
+
+    @given(connected_graphs(max_n=11), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_clique_bound_never_exceeds_the_cover_number(self, g, data):
+        # The stream and min_cover_size start at this bound, so it must
+        # never pass the subset scan's minimum either.
+        active = data.draw(st.integers(0, (1 << g.n) - 1))
+        adj = g.adjacency_bits
+        size, _ = oracles.min_cover_within(g.edges, active)
+        assert _clique_lower_bound(adj, active) <= min_cover_size(adj, active) == size
