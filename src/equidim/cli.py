@@ -1,11 +1,17 @@
 """Command-line entry point.
 
 Graph arguments are edge-list files; ``-`` reads standard input, so
-generator output pipes straight into the solvers.  Every subcommand offers
-``--json`` with canonical (sorted-key, fixed-separator) serialization;
+generator output pipes straight into the solvers.  Every graph subcommand
+offers ``--json`` with canonical (sorted-key, fixed-separator) serialization;
 identical inputs and seed give byte-identical output.  Exit status: 0 on
-success, 1 on precondition, budget or parse errors, 2 when a verification
-suite reports failures.
+success, 1 on precondition, budget, parse or file errors (one ``error:``
+line on stderr), 2 when a verification suite reports failures.
+
+Each subcommand binds its runner with ``set_defaults(run=...)``.  The graph
+subcommands share :func:`_run_graph`, which loads the graph, checks
+``--budget`` and prints what the subcommand's handler returns, as canonical
+JSON or as text.  Handlers call solvers through their module, so a wrapped
+or patched solver is the one that runs.
 """
 
 from __future__ import annotations
@@ -24,42 +30,151 @@ from .graphs import Graph, INFINITY
 
 
 def _load_graph(path: str) -> Graph:
-    if path == "-":
-        return parse_edge_list(sys.stdin.read())
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_edge_list(fh.read())
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
     except OSError as exc:
         raise EquidimError(f"cannot read {path}: {exc.strerror}") from None
-
-
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    except UnicodeDecodeError as exc:
+        raise EquidimError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
+    return parse_edge_list(text)
 
 
 def _labels(g: Graph, vertices) -> list:
     return [g.label_of(v) for v in sorted(vertices)]
 
 
-def _budget(args) -> int | None:
-    value = getattr(args, "budget", None)
-    if value is None:
-        return None
-    if value < 1:
-        raise EquidimError(f"--budget must be positive, got {value}")
-    return value
+def _run_gen(args) -> int:
+    g = generate(FamilySpec(args.family, tuple(args.params)))
+    text = to_dot(g) if args.dot else format_edge_list(g)
+    if args.output == "-":
+        sys.stdout.write(text)
+        return 0
+    try:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise EquidimError(f"cannot write {args.output}: {exc.strerror}") from None
+    return 0
 
 
-def _add_common(sub, budget: bool = True) -> None:
-    sub.add_argument("--json", action="store_true", help="machine-readable output")
-    if budget:
-        sub.add_argument(
-            "--budget",
-            type=int,
-            default=None,
-            metavar="N",
-            help="lower the instance-size cap for exact searches",
-        )
+def _run_verify(args) -> int:
+    report = suites.run_suite(args.suite, seed=args.seed)
+    if args.json:
+        print(report.to_json())
+    else:
+        for check in sorted(report.checks, key=lambda c: c.key):
+            print(f"{'PASS' if check.passed else 'FAIL'} {check.key}")
+        print(f"suite {report.suite}: {'PASS' if report.passed else 'FAIL'}")
+        for check in report.failures():
+            print(f"counterexample {check.key}: {check.details}")
+    return 0 if report.passed else 2
+
+
+def _run_graph(args) -> int:
+    """Run a graph subcommand's handler ``(g, args, budget) -> (payload,
+    lines)`` and print the payload as canonical JSON or the text lines."""
+    g = _load_graph(args.graph)
+    budget = getattr(args, "budget", None)
+    if budget is not None and budget < 1:
+        raise EquidimError(f"--budget must be positive, got {budget}")
+    payload, lines = args.handler(g, args, budget)
+    # A payload of None means the output has no JSON form (k-threshold --sweep).
+    if args.json and payload is not None:
+        lines = [json.dumps(payload, sort_keys=True, separators=(",", ":"))]
+    for line in lines:
+        print(line)
+    return 0
+
+
+def _dist(g: Graph, args, budget):
+    matrix = [[None if d is INFINITY else d for d in row] for row in g.distances]
+    lines = (
+        f"{g.label_of(v)}: " + " ".join("inf" if d is None else str(d) for d in row)
+        for v, row in enumerate(matrix)
+    )
+    return {"labels": [g.label_of(v) for v in range(g.n)], "matrix": matrix}, lines
+
+
+def _bisector(g: Graph, args, budget):
+    found = _labels(g, bisector(g, g.index_of(args.u), g.index_of(args.v)))
+    return {"bisector": found}, [" ".join(str(x) for x in found) if found else "(empty)"]
+
+
+def _empty_bisector(g: Graph, args, budget):
+    ghat = empty_bisector_graph(g).graph
+    edges = [sorted((g.label_of(u), g.label_of(v))) for u, v in ghat.edges]
+    return {"n": ghat.n, "edges": edges}, format_edge_list(ghat).splitlines()
+
+
+def _value_and_witness(g: Graph, args, budget):
+    module, name = args.solver
+    result = getattr(module, name)(g, max_order=budget)
+    if result.witness is None:  # only xi-total, when no total equalizer exists
+        infinite = "infinite (the empty bisector graph has an edge)"
+        return {"value": None, "witness": None}, [infinite]
+    witness = _labels(g, result.witness)
+    return {"value": result.value, "witness": witness}, [f"{result.value}  witness: {witness}"]
+
+
+def _xi_corona(g: Graph, args, budget):
+    result = equalizers.xi_corona_structured(g, args.nh, max_order=budget)
+    over, base = (_labels(g, part) for part in result.decomposition)
+    payload = {"value": result.value, "nh": args.nh, "copies_over": over, "base_part": base}
+    lines = [f"{result.value}  copies over {over}; base part {base}"]
+    if args.oracle:
+        h = _load_graph(args.oracle)
+        if h.n != args.nh:
+            raise EquidimError(f"--oracle graph has order {h.n}, but --nh is {args.nh}")
+        oracle = equalizers.xi_corona_oracle(g, h, max_order=budget)
+        payload["oracle"] = oracle.value
+        payload["agree"] = oracle.value == result.value
+        lines.append(f"oracle: {oracle.value} ({'agree' if payload['agree'] else 'DISAGREE'})")
+    return payload, lines
+
+
+def _beta_star(g: Graph, args, budget):
+    result = equalizers.beta_star(g, max_order=budget)
+    pair = [_labels(g, side) for side in result.pair]
+    overlap = _labels(g, result.witness)
+    payload = {"value": result.value, "overlap": overlap, "pair": pair}
+    return payload, [f"{result.value}  pair: {pair}  overlap: {overlap}"]
+
+
+def _k_threshold(g: Graph, args, budget):
+    line = equalizers.k_threshold(g, max_order=budget)
+    if args.sweep:
+        lo, hi = _parse_range(args.sweep)
+        return None, _sweep(g, lo, hi, budget)
+    text = f"xi = {line.slope}*n(H) + {line.k} for n(H) > {line.threshold}"
+    return line._asdict(), [f"{text} (threshold bound: {line.threshold_bound})"]
+
+
+def _sweep(g: Graph, lo: int, hi: int, budget):
+    """CSV of ξ(G ⊙ H) over n(H) = lo..hi, one row printed as each is solved."""
+    yield "nh,xi"
+    for n_h in range(lo, hi + 1):
+        yield f"{n_h},{equalizers.xi_corona_structured(g, n_h, max_order=budget).value}"
+
+
+def _forward_check(g: Graph, args, budget):
+    pair = equalizers.ForwardPair(_parse_set(g, args.x), _parse_set(g, args.y))
+    ok = equalizers.forward_equalized(g, pair)
+    return {"forward_equalized": ok}, ["forward-equalized" if ok else "not forward-equalized"]
+
+
+def _bounds(g: Graph, args, budget):
+    report = theory.bounds_report(g, args.nh)
+    fields = ("floor", "lower_weak", "lower", "upper", "upper_via_xi", "exact")
+    payload = {"nh": report.n_h, **{name: getattr(report, name) for name in fields}}
+    return payload, [
+        f"floor {report.floor} | lower {report.lower_weak}/{report.lower} | "
+        f"exact {report.exact} | upper {report.upper}/{report.upper_via_xi}"
+    ]
+
 
 
 @lru_cache(maxsize=1)
@@ -77,73 +192,66 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("params", type=int, nargs="*")
     p.add_argument("-o", "--output", default="-", metavar="FILE")
     p.add_argument("--dot", action="store_true", help="emit DOT instead")
+    p.set_defaults(run=_run_gen)
 
-    p = sub.add_parser("dist", help="all-pairs distance matrix")
-    p.add_argument("graph")
-    _add_common(p, budget=False)
+    takes_budget = {}  # graph subcommand parser -> whether it takes --budget
 
-    p = sub.add_parser("bisector", help="vertices equidistant from u and v")
-    p.add_argument("graph")
-    p.add_argument("u", type=int)
-    p.add_argument("v", type=int)
-    _add_common(p, budget=False)
-
-    p = sub.add_parser("empty-bisector", help="empty bisector graph as an edge list")
-    p.add_argument("graph")
-    _add_common(p, budget=False)
-
-    for name, help_text in (
-        ("cover", "minimum vertex cover"),
-        ("alpha", "maximum independent set"),
-        ("omega", "maximum clique"),
-    ):
+    def graph_command(name: str, help_text: str, handler, budget: bool = True):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("graph")
-        _add_common(p)
+        p.set_defaults(run=_run_graph, handler=handler)
+        takes_budget[p] = budget
+        return p
 
-    p = sub.add_parser("xi", help="equidistant dimension by exact hitting-set search")
-    p.add_argument("graph")
-    _add_common(p)
+    graph_command("dist", "all-pairs distance matrix", _dist, budget=False)
+    p = graph_command("bisector", "vertices equidistant from u and v", _bisector, budget=False)
+    p.add_argument("u", type=int)
+    p.add_argument("v", type=int)
+    graph_command(
+        "empty-bisector", "empty bisector graph as an edge list", _empty_bisector, budget=False
+    )
+    for name, help_text, module, solver in (
+        ("cover", "minimum vertex cover", covers, "vertex_cover_number"),
+        ("alpha", "maximum independent set", covers, "independence_number"),
+        ("omega", "maximum clique", covers, "clique_number"),
+        ("xi", "equidistant dimension by exact hitting-set search", equalizers, "xi_bruteforce"),
+        ("xi-total", "total equidistant dimension", equalizers, "xi_total"),
+    ):
+        # The solver goes by name, so it is looked up in its module at each call.
+        graph_command(name, help_text, _value_and_witness).set_defaults(solver=(module, solver))
 
-    p = sub.add_parser("xi-total", help="total equidistant dimension")
-    p.add_argument("graph")
-    _add_common(p)
-
-    p = sub.add_parser("xi-corona", help="corona dimension for copies of order K")
-    p.add_argument("graph")
+    p = graph_command("xi-corona", "corona dimension for copies of order K", _xi_corona)
     p.add_argument("--nh", type=int, required=True, metavar="K")
     p.add_argument(
         "--oracle",
         metavar="H_FILE",
-        default=None,
         help="also brute-force the explicit product with this copy graph",
     )
-    _add_common(p)
-
-    p = sub.add_parser("beta-star", help="minimum overlap of a forward-equalized cover pair")
-    p.add_argument("graph")
-    _add_common(p)
-
-    p = sub.add_parser("k-threshold", help="eventual line slope*n(H)+k and its threshold")
-    p.add_argument("graph")
-    p.add_argument("--sweep", metavar="A..B", default=None, help="CSV of nh,xi over a range")
-    _add_common(p)
-
-    p = sub.add_parser("forward-check", help="test a pair of vertex sets")
-    p.add_argument("graph")
+    graph_command("beta-star", "minimum overlap of a forward-equalized cover pair", _beta_star)
+    p = graph_command("k-threshold", "eventual line slope*n(H)+k and its threshold", _k_threshold)
+    p.add_argument("--sweep", metavar="A..B", help="CSV of nh,xi over a range")
+    p = graph_command("forward-check", "test a pair of vertex sets", _forward_check, budget=False)
     p.add_argument("--x", required=True, metavar="L1,L2,...")
     p.add_argument("--y", required=True, metavar="L1,L2,...")
-    _add_common(p, budget=False)
-
-    p = sub.add_parser("bounds", help="bound chain and exact value")
-    p.add_argument("graph")
+    p = graph_command("bounds", "bound chain and exact value", _bounds, budget=False)
     p.add_argument("--nh", type=int, required=True, metavar="K")
-    _add_common(p, budget=False)
+
+    # Last, so that every usage line shows them after the command's own options.
+    for p, budget in takes_budget.items():
+        p.add_argument("--json", action="store_true", help="machine-readable output")
+        if budget:
+            p.add_argument(
+                "--budget",
+                type=int,
+                metavar="N",
+                help="lower the instance-size cap for exact searches",
+            )
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=sorted(suites.SUITES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=_run_verify)
     return parser
 
 
@@ -154,204 +262,10 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on bad usage; fold that into the error status.
         return 0 if exc.code in (0, None) else 1
     try:
-        return _dispatch(args)
+        return args.run(args)
     except EquidimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def _dispatch(args) -> int:
-    if args.command == "gen":
-        g = generate(FamilySpec(args.family, tuple(args.params)))
-        text = to_dot(g) if args.dot else format_edge_list(g)
-        if args.output == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        return 0
-
-    if args.command == "verify":
-        report = suites.run_suite(args.suite, seed=args.seed)
-        if args.json:
-            print(report.to_json())
-        else:
-            for check in sorted(report.checks, key=lambda c: c.key):
-                print(f"{'PASS' if check.passed else 'FAIL'} {check.key}")
-            print(f"suite {report.suite}: {'PASS' if report.passed else 'FAIL'}")
-            for check in report.failures():
-                print(f"counterexample {check.key}: {check.details}")
-        return 0 if report.passed else 2
-
-    g = _load_graph(args.graph)
-    budget = _budget(args) if hasattr(args, "budget") else None
-
-    if args.command == "dist":
-        matrix = [
-            [None if d is INFINITY else d for d in row] for row in g.distances
-        ]
-        if args.json:
-            _emit_json({"labels": [g.label_of(v) for v in range(g.n)], "matrix": matrix})
-        else:
-            for v, row in enumerate(matrix):
-                cells = " ".join("inf" if d is None else str(d) for d in row)
-                print(f"{g.label_of(v)}: {cells}")
-        return 0
-
-    if args.command == "bisector":
-        found = bisector(g, g.index_of(args.u), g.index_of(args.v))
-        if args.json:
-            _emit_json({"bisector": _labels(g, found)})
-        else:
-            print(" ".join(str(x) for x in _labels(g, found)) if found else "(empty)")
-        return 0
-
-    if args.command == "empty-bisector":
-        ghat = empty_bisector_graph(g).graph
-        if args.json:
-            _emit_json(
-                {
-                    "n": ghat.n,
-                    "edges": [
-                        sorted((g.label_of(u), g.label_of(v))) for u, v in ghat.edges
-                    ],
-                }
-            )
-        else:
-            sys.stdout.write(format_edge_list(ghat))
-        return 0
-
-    if args.command in ("cover", "alpha", "omega"):
-        op = {
-            "cover": covers.vertex_cover_number,
-            "alpha": covers.independence_number,
-            "omega": covers.clique_number,
-        }[args.command]
-        result = op(g, max_order=budget)
-        if args.json:
-            _emit_json({"value": result.value, "witness": _labels(g, result.witness)})
-        else:
-            print(f"{result.value}  witness: {_labels(g, result.witness)}")
-        return 0
-
-    if args.command == "xi":
-        result = equalizers.xi_bruteforce(g, max_order=budget)
-        if args.json:
-            _emit_json({"value": result.value, "witness": _labels(g, result.witness)})
-        else:
-            print(f"{result.value}  witness: {_labels(g, result.witness)}")
-        return 0
-
-    if args.command == "xi-total":
-        result = equalizers.xi_total(g, max_order=budget)
-        if result.witness is None:
-            if args.json:
-                _emit_json({"value": None, "witness": None})
-            else:
-                print("infinite (the empty bisector graph has an edge)")
-        else:
-            if args.json:
-                _emit_json({"value": result.value, "witness": _labels(g, result.witness)})
-            else:
-                print(f"{result.value}  witness: {_labels(g, result.witness)}")
-        return 0
-
-    if args.command == "xi-corona":
-        result = equalizers.xi_corona_structured(g, args.nh, max_order=budget)
-        upper, lower = result.decomposition
-        payload = {
-            "value": result.value,
-            "nh": args.nh,
-            "copies_over": _labels(g, upper),
-            "base_part": _labels(g, lower),
-        }
-        if args.oracle:
-            h = _load_graph(args.oracle)
-            if h.n != args.nh:
-                raise EquidimError(
-                    f"--oracle graph has order {h.n}, but --nh is {args.nh}"
-                )
-            oracle = equalizers.xi_corona_oracle(g, h, max_order=budget)
-            payload["oracle"] = oracle.value
-            payload["agree"] = oracle.value == result.value
-        if args.json:
-            _emit_json(payload)
-        else:
-            print(
-                f"{result.value}  copies over {payload['copies_over']}; "
-                f"base part {payload['base_part']}"
-            )
-            if args.oracle:
-                print(f"oracle: {payload['oracle']} ({'agree' if payload['agree'] else 'DISAGREE'})")
-        return 0
-
-    if args.command == "beta-star":
-        result = equalizers.beta_star(g, max_order=budget)
-        upper, lower = result.pair
-        payload = {
-            "value": result.value,
-            "overlap": _labels(g, result.witness),
-            "pair": [_labels(g, upper), _labels(g, lower)],
-        }
-        if args.json:
-            _emit_json(payload)
-        else:
-            print(f"{result.value}  pair: {payload['pair']}  overlap: {payload['overlap']}")
-        return 0
-
-    if args.command == "k-threshold":
-        line = equalizers.k_threshold(g, max_order=budget)
-        if args.sweep:
-            lo, hi = _parse_range(args.sweep)
-            print("nh,xi")
-            for n_h in range(lo, hi + 1):
-                print(f"{n_h},{equalizers.xi_corona_structured(g, n_h, max_order=budget).value}")
-            return 0
-        payload = {
-            "k": line.k,
-            "threshold": line.threshold,
-            "slope": line.slope,
-            "threshold_bound": line.threshold_bound,
-        }
-        if args.json:
-            _emit_json(payload)
-        else:
-            print(
-                f"xi = {line.slope}*n(H) + {line.k} for n(H) > {line.threshold}"
-                f" (threshold bound: {line.threshold_bound})"
-            )
-        return 0
-
-    if args.command == "forward-check":
-        pair = equalizers.ForwardPair(_parse_set(g, args.x), _parse_set(g, args.y))
-        ok = equalizers.forward_equalized(g, pair)
-        if args.json:
-            _emit_json({"forward_equalized": ok})
-        else:
-            print("forward-equalized" if ok else "not forward-equalized")
-        return 0
-
-    if args.command == "bounds":
-        report = theory.bounds_report(g, args.nh)
-        payload = {
-            "nh": report.n_h,
-            "floor": report.floor,
-            "lower_weak": report.lower_weak,
-            "lower": report.lower,
-            "upper": report.upper,
-            "upper_via_xi": report.upper_via_xi,
-            "exact": report.exact,
-        }
-        if args.json:
-            _emit_json(payload)
-        else:
-            print(
-                f"floor {report.floor} | lower {report.lower_weak}/{report.lower} | "
-                f"exact {report.exact} | upper {report.upper}/{report.upper_via_xi}"
-            )
-        return 0
-
-    raise EquidimError(f"unknown command {args.command!r}")
 
 
 def _parse_range(text: str) -> tuple[int, int]:

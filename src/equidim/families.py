@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import GraphError
+from .fileio import MAX_INPUT_ORDER
 from .graphs import Graph
 
 
@@ -158,36 +159,46 @@ _FIXED_EXAMPLES = {
     "k5-leaves": k5_leaves_graph,
 }
 
-#: family name -> (exact parameter count or None for variadic, builder)
+#: family name -> (exact parameter count or None for variadic, order, builder).
+#: The order is read off the parameters, so an oversized family is refused
+#: before it is built; a hypercube dimension is clamped first, since only
+#: whether it exceeds 10 matters.
 _PARAMETRIC = {
-    "empty": (1, lambda p: empty_graph(*p)),
-    "path": (1, lambda p: path_graph(*p)),
-    "cycle": (1, lambda p: cycle_graph(*p)),
-    "wheel": (1, lambda p: wheel_graph(*p)),
-    "complete": (1, lambda p: complete_graph(*p)),
-    "complete-bipartite": (2, lambda p: complete_bipartite_graph(*p)),
-    "complete-multipartite": (None, complete_multipartite_graph),
-    "bistar": (2, lambda p: bistar_graph(*p)),
-    "hypercube": (1, lambda p: hypercube_graph(*p)),
+    "empty": (1, sum, lambda p: empty_graph(*p)),
+    "path": (1, sum, lambda p: path_graph(*p)),
+    "cycle": (1, sum, lambda p: cycle_graph(*p)),
+    "wheel": (1, sum, lambda p: wheel_graph(*p)),
+    "complete": (1, sum, lambda p: complete_graph(*p)),
+    "complete-bipartite": (2, sum, lambda p: complete_bipartite_graph(*p)),
+    "complete-multipartite": (None, sum, lambda p: complete_multipartite_graph(p)),
+    "bistar": (2, lambda p: sum(p) + 2, lambda p: bistar_graph(*p)),
+    "hypercube": (1, lambda p: 1 << min(max(p[0], 0), 11), lambda p: hypercube_graph(*p)),
 }
 
 FAMILY_NAMES = tuple(sorted(_PARAMETRIC) + sorted(_FIXED_EXAMPLES))
 
 
 def generate(spec: FamilySpec) -> Graph:
-    """Build the canonical graph for a family spec."""
+    """Build the canonical graph for a family spec.  Orders above
+    :data:`~equidim.fileio.MAX_INPUT_ORDER`, which no edge list may declare,
+    are refused."""
     if spec.name in _FIXED_EXAMPLES:
         if spec.params:
             raise GraphError(f"family {spec.name!r} takes no parameters")
         return _FIXED_EXAMPLES[spec.name]()
     if spec.name in _PARAMETRIC:
-        arity, builder = _PARAMETRIC[spec.name]
+        arity, order, builder = _PARAMETRIC[spec.name]
         if arity is not None and len(spec.params) != arity:
             raise GraphError(
                 f"family {spec.name!r} takes {arity} parameter(s), got {len(spec.params)}"
             )
         if arity is None and not spec.params:
             raise GraphError(f"family {spec.name!r} needs at least one parameter")
+        if order(spec.params) > MAX_INPUT_ORDER:
+            raise GraphError(
+                f"family {spec.name!r} with parameters {list(spec.params)} has more than "
+                f"{MAX_INPUT_ORDER} vertices, the input limit"
+            )
         return builder(spec.params)
     raise GraphError(f"unknown family {spec.name!r}; known: {', '.join(FAMILY_NAMES)}")
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equidim import cli
+from equidim import cli, equalizers
 from equidim.cli import main
 from equidim.families import cycle_graph, fish_graph, path_graph
 from equidim.fileio import MAX_INPUT_ORDER, format_edge_list
@@ -186,6 +186,34 @@ def test_missing_file_exit_one(capsys):
     assert code == 1 and "error:" in err
 
 
+def test_non_utf8_file_exit_one(capsys, tmp_path):
+    bad = tmp_path / "bad.edges"
+    bad.write_bytes(b"\xff\xfe3 2\n1 2\n2 3\n")
+    code, out, err = run(capsys, "xi", str(bad))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot read {bad}: ") and err.count("\n") == 1
+
+
+def test_gen_into_missing_directory_exit_one(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.edges"
+    code, out, err = run(capsys, "gen", "cycle", "4", "-o", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
+
+def test_gen_order_at_the_input_limit(capsys):
+    code, out, _ = run(capsys, "gen", "path", str(MAX_INPUT_ORDER))
+    assert code == 0 and out.splitlines()[0] == f"{MAX_INPUT_ORDER} {MAX_INPUT_ORDER - 1}"
+
+
+@pytest.mark.parametrize("family, param", [("path", "1025"), ("hypercube", "11")])
+def test_gen_order_above_the_input_limit_exit_one(capsys, family, param):
+    code, out, err = run(capsys, "gen", family, param)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "input limit" in err
+    assert err.count("\n") == 1
+
+
 def test_budget_violation_exit_one(capsys, tmp_path):
     big = tmp_path / "p20.edges"
     big.write_text(format_edge_list(path_graph(20)))
@@ -239,6 +267,23 @@ def test_one_parser_serves_consecutive_calls(capsys, fish_file):
     together.append(run(capsys, *second))
     assert together == alone
     assert alone[0][1] != alone[1][1]
+
+
+def test_solver_is_looked_up_when_the_command_runs(capsys, fish_file, monkeypatch):
+    # Wrappers such as a tracer replace module bindings after the cached
+    # parser may exist; the command must still call through them.
+    cli._parser()
+    seen = []
+    real = equalizers.xi_bruteforce
+
+    def spy(g, **kwargs):
+        seen.append(g.n)
+        return real(g, **kwargs)
+
+    monkeypatch.setattr(equalizers, "xi_bruteforce", spy)
+    code, out, _ = run(capsys, "xi", fish_file)
+    assert code == 0 and out == "2  witness: [3, 4]\n"
+    assert seen == [6]
 
 
 def test_unknown_subcommand_exit_one(capsys):

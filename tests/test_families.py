@@ -1,6 +1,6 @@
 import pytest
 
-from equidim import GraphError, join
+from equidim import GraphError, families, join
 from equidim.families import (
     FamilySpec,
     bistar_graph,
@@ -108,3 +108,28 @@ def test_generate_dispatch_matches_builders():
     assert generate(FamilySpec("complete-bipartite", (2, 3))) == complete_bipartite_graph(2, 3)
     assert generate(FamilySpec("complete-multipartite", (1, 2, 2))) == complete_multipartite_graph((1, 2, 2))
     assert generate(FamilySpec("fish",)) is not None
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FamilySpec("path", (1025,)),
+        FamilySpec("hypercube", (11,)),
+        FamilySpec("bistar", (511, 512)),
+        FamilySpec("complete-multipartite", (500, 500, 25)),
+    ],
+    ids=["path", "hypercube", "bistar", "complete-multipartite"],
+)
+def test_order_above_the_input_limit_refused_before_building(monkeypatch, spec):
+    def never(*args):
+        raise AssertionError("builder ran")
+
+    for builder in ("path_graph", "hypercube_graph", "bistar_graph", "complete_multipartite_graph"):
+        monkeypatch.setattr(families, builder, never)
+    with pytest.raises(GraphError, match="input limit"):
+        generate(spec)
+
+
+def test_order_at_the_input_limit_is_built():
+    assert generate(FamilySpec("path", (1024,))).n == 1024
+    assert generate(FamilySpec("bistar", (511, 511))).n == 1024
