@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import lru_cache
 
@@ -233,6 +234,10 @@ def _parser() -> argparse.ArgumentParser:
     p = graph_command("forward-check", "test a pair of vertex sets", _forward_check, budget=False)
     p.add_argument("--x", required=True, metavar="L1,L2,...")
     p.add_argument("--y", required=True, metavar="L1,L2,...")
+    # argparse takes a value for an option only if it does not start with
+    # "-", or looks like one negative number.  No option here starts with
+    # "-" and a digit, so "--x -4,0,7" reads like "--x=-4,0,7".
+    p._negative_number_matcher = re.compile(r"-\d")
     p = graph_command("bounds", "bound chain and exact value", _bounds, budget=False)
     p.add_argument("--nh", type=int, required=True, metavar="K")
 

@@ -83,19 +83,26 @@ def _equalizer_masks(g: Graph) -> list[int]:
 
 def _min_hitting_subset(n: int, masks: list[int]) -> tuple[int, frozenset[int]]:
     """Smallest subset of ``0..n-1`` meeting every mask, and the
-    lexicographically first of its size (as a sorted tuple).  Every mask
-    must be nonzero.
+    lexicographically first of its size.  Every mask must be nonzero.
 
-    Each distinct mask gets a bit; ``inc[v]`` holds the masks containing v
-    and ``last[v]`` the masks whose highest element is v.  For each size k,
-    from a disjoint-mask lower bound up, a depth-first search decides the
-    vertices in ascending order, "take v" before "leave v out".  Leaving v
-    out is allowed only while every mask ending at v is already hit, and a
-    branch is cut once it holds k vertices with a mask still unhit.  The
-    branches run in lexicographic order, so the first set that meets every
-    mask is the answer.
+    Each distinct mask gets a bit, shortest masks lowest; ``inc[v]`` holds
+    the masks containing v and ``last[v]`` the masks whose highest element
+    is v.  Two phases share these tables:
+
+    * sizing: :func:`_min_hitting_size` finds the minimum size k, from a
+      disjoint-mask lower bound;
+    * witness: one search at size k decides the elements in ascending
+      order, "take v" before "leave v out".  Leaving v out is allowed only
+      while every mask ending at v is already hit, and a branch is cut once
+      it holds k elements with a mask still unhit.  Its branches run in
+      lexicographic order, so the first set that meets every mask is the
+      answer.
+
+    The ascending search alone would have to refute every size below k,
+    with fan-out two at each node; the sizing search does that with far
+    fewer nodes.
     """
-    masks = list(set(masks))
+    masks = sorted(set(masks), key=int.bit_count)
     # Bit i * n + v of the table is bit v of mask i, so every n-th digit of
     # its binary string, from the right end, is a column inc[v].
     table = 0
@@ -115,24 +122,62 @@ def _min_hitting_subset(n: int, masks: list[int]) -> tuple[int, frozenset[int]]:
             packed |= mask
             low += 1
 
-    every = (1 << len(masks)) - 1
-    for size in range(low, n + 1):
-        # Open "leave v out" branches: (v, taken, len(taken), unhit).
-        stack = [(0, 0, 0, every)]
-        while stack:
-            v, taken, count, unhit = stack.pop()
-            while unhit:
-                if count == size:
-                    break
-                if not unhit & last[v]:
-                    stack.append((v + 1, taken, count, unhit))
-                taken |= 1 << v
-                count += 1
-                unhit &= ~inc[v]
-                v += 1
-            else:
-                return size, frozenset(_bits(taken))
-    raise AssertionError("the full vertex set meets every nonzero mask; unreachable")
+    size = _min_hitting_size(masks, inc, low)
+    # Open "leave v out" branches: (v, taken, len(taken), unhit).
+    stack = [(0, 0, 0, (1 << len(masks)) - 1)]
+    while stack:
+        v, taken, count, unhit = stack.pop()
+        while unhit:
+            if count == size:
+                break
+            if not unhit & last[v]:
+                stack.append((v + 1, taken, count, unhit))
+            taken |= 1 << v
+            count += 1
+            unhit &= ~inc[v]
+            v += 1
+        else:
+            return size, frozenset(_bits(taken))
+    raise AssertionError("the sizing search found a set of this size; unreachable")
+
+
+def _min_hitting_size(masks: list[int], inc: list[int], low: int) -> int:
+    """Fewest elements meeting every mask, given that ``low`` is a lower
+    bound (``inc`` as in :func:`_min_hitting_subset`).
+
+    A depth-first branch and bound branches on the first unhit mask, the
+    shortest, {e1 < ... < er}: child i takes e_i and leaves e1 .. e(i-1) out
+    for the rest of its branch.  A branch is cut once it cannot beat the
+    smallest set found so far, and the search stops when a set reaches
+    ``low``.
+    """
+    if not masks:
+        return 0
+    # Each element taken hits a new mask, so no branch outgrows len(masks).
+    best = len(masks) + 1
+    # Open branches: (len(taken), unhit, elements left out).
+    stack = [(0, (1 << len(masks)) - 1, 0)]
+    while stack:
+        count, unhit, excluded = stack.pop()
+        count += 1
+        if count >= best:
+            continue
+        first = unhit & -unhit
+        choices = masks[first.bit_length() - 1] & ~excluded
+        # Highest element first, so that e1, which leaves nothing out, is
+        # popped first.
+        while choices:
+            top = choices.bit_length() - 1
+            choices ^= 1 << top
+            left = unhit & ~inc[top]
+            if not left:
+                if count == low:
+                    return low
+                best = count
+                break
+            if count + 1 < best:
+                stack.append((count, left, excluded | choices))
+    return best
 
 
 def is_distance_equalizer(g: Graph, s) -> bool:
@@ -181,9 +226,12 @@ def forward_equalized(g: Graph, pair: ForwardPair) -> bool:
 
 def _mandatory(fw: tuple[int, ...], umask: int, outside: int) -> int:
     mandatory = 0
-    for x in _bits(umask):
-        if outside & ~fw[x]:
-            mandatory |= 1 << x
+    rest = umask
+    while rest:
+        low = rest & -rest
+        if outside & ~fw[low.bit_length() - 1]:
+            mandatory |= low
+        rest ^= low
     return mandatory
 
 

@@ -149,6 +149,17 @@ def _pair_bisectors(n, edges):
     ]
 
 
+def min_hitting_set(n, masks):
+    """Smallest subset of ``range(n)`` meeting every mask (bitmasks), and the
+    first of that size in ``itertools.combinations`` order."""
+    for k in range(n + 1):
+        for combo in combinations(range(n), k):
+            chosen = sum(1 << v for v in combo)
+            if all(mask & chosen for mask in masks):
+                return k, set(combo)
+    raise AssertionError("unreachable: the full set meets every nonzero mask")
+
+
 def xi(n, edges):
     """Equidistant dimension by definition-level subset scan, with the
     first minimum set of the size-then-lexicographic order as witness."""

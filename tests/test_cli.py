@@ -138,6 +138,22 @@ def test_forward_check(capsys, tmp_path):
     assert code == 0 and out.strip() == "not forward-equalized"
 
 
+@pytest.mark.parametrize(
+    "sets",
+    [
+        ["--x", "-4,0,7,30,101", "--y", "-4,0,7,12"],
+        ["--x=-4,0,7,30,101", "--y=-4,0,7,12"],
+        ["--x", "-4", "--y", "-4,0,7,12,30,101"],
+    ],
+    ids=["spaced", "joined", "single"],
+)
+def test_forward_check_sets_led_by_a_negative_label(capsys, tmp_path, sets):
+    path = tmp_path / "sparse.edges"
+    path.write_text("6 8\n7 101\n7 -4\n7 30\n7 0\n12 0\n12 -4\n0 -4\n12 7\n")
+    code, out, err = run(capsys, "forward-check", str(path), *sets)
+    assert (code, out, err) == (0, "forward-equalized\n", "")
+
+
 def test_bounds(capsys, fish_file):
     code, out, _ = run(capsys, "bounds", fish_file, "--nh", "1", "--json")
     payload = json.loads(out)

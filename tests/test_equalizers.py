@@ -2,6 +2,7 @@ import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import connected_graphs, labelset
@@ -27,6 +28,7 @@ from equidim import (
     xi_corona_structured,
     xi_total,
 )
+from equidim.equalizers import _min_hitting_subset
 from equidim.families import (
     chorded_path_graph,
     complete_bipartite_graph,
@@ -159,6 +161,28 @@ FROZEN = {
 }
 
 
+@st.composite
+def mask_families(draw):
+    """``(n, masks)`` with n <= 12: uniform random nonzero masks, with or
+    without the pairs of a random graph, plus near-full masks, singletons,
+    masks nested in others and duplicates, in random order."""
+    n = draw(st.integers(1, 12))
+    # Uniform bits: hypothesis's own integers lean to small and extreme
+    # values, which make families whose optimum the first choices reach.
+    rng = draw(st.randoms(use_true_random=True))
+    full = (1 << n) - 1
+    density = draw(st.sampled_from([0.0, 0.3]))
+    masks = [1 << u | 1 << v for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+    masks += [rng.randint(1, full) for _ in range(rng.randint(n, 3 * n))]
+    masks += [full & ~(1 << rng.randrange(n)) or full for _ in range(rng.randint(0, 2))]
+    masks += [1 << rng.randrange(n) for _ in range(rng.randint(0, 2))]
+    nested = rng.sample(masks, rng.randint(0, n))
+    masks += [mask & rng.randint(1, full) or mask for mask in nested]
+    masks += rng.choices(masks, k=rng.randint(0, 4))
+    rng.shuffle(masks)
+    return n, masks
+
+
 def _value_and_witness(result):
     witness = None if result.witness is None else sorted(result.witness)
     return result.value, witness
@@ -173,6 +197,15 @@ class TestHittingSetSearch:
         g, xi, total = FROZEN[name]
         assert _value_and_witness(xi_bruteforce(g)) == xi
         assert _value_and_witness(xi_total(g)) == total
+
+    @given(mask_families())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_subset_scan_on_mask_families(self, family):
+        # Graph masks seldom make the sizing search branch wide or leave an
+        # element out that every optimum needs; these families do.
+        n, masks = family
+        size, witness = oracles.min_hitting_set(n, masks)
+        assert _min_hitting_subset(n, masks) == (size, frozenset(witness))
 
     def test_matches_oracles_on_all_small_connected_graphs(self):
         checked = 0
