@@ -85,22 +85,20 @@ def _min_hitting_subset(n: int, masks: list[int]) -> tuple[int, frozenset[int]]:
     """Smallest subset of ``0..n-1`` meeting every mask, and the
     lexicographically first of its size.  Every mask must be nonzero.
 
-    Each distinct mask gets a bit, shortest masks lowest; ``inc[v]`` holds
-    the masks containing v and ``last[v]`` the masks whose highest element
-    is v.  Two phases share these tables:
+    Each distinct mask gets a bit, shortest masks lowest, and ``inc[v]``
+    holds the masks containing v.  :func:`_min_hitting_search` runs twice
+    over these tables:
 
-    * sizing: :func:`_min_hitting_size` finds the minimum size k, from a
-      disjoint-mask lower bound;
-    * witness: one search at size k decides the elements in ascending
-      order, "take v" before "leave v out".  Leaving v out is allowed only
-      while every mask ending at v is already hit, and a branch is cut once
-      it holds k elements with a mask still unhit.  Its branches run in
-      lexicographic order, so the first set that meets every mask is the
-      answer.
-
-    The ascending search alone would have to refute every size below k,
-    with fan-out two at each node; the sizing search does that with far
-    fewer nodes.
+    * sizing: one search over the whole family finds the minimum size k and
+      a set of that size, from a disjoint-mask lower bound;
+    * witness: the elements are then decided in ascending order, keeping
+      ``known``, a set of size k whose elements below v are the ones taken.
+      v is taken when it is in ``known``, and left out when it meets no
+      unhit mask (every member of a minimum set meets one).  Otherwise a
+      search over the masks v leaves unhit, with every element up to v
+      excluded and k - len(taken) - 1 elements to spare, decides it: v is
+      taken, and the rest of ``known`` becomes the set found, if one
+      exists.  The last ``known`` is the answer.
     """
     masks = sorted(set(masks), key=int.bit_count)
     # Bit i * n + v of the table is bit v of mask i, so every n-th digit of
@@ -110,11 +108,6 @@ def _min_hitting_subset(n: int, masks: list[int]) -> tuple[int, frozenset[int]]:
         table |= mask << i * n
     digits = f"{table:0{len(masks) * n}b}"
     inc = [int(digits[n - 1 - v :: n] or "0", 2) for v in range(n)]
-    last = [0] * n
-    above = 0
-    for v in range(n - 1, -1, -1):
-        last[v] = inc[v] & ~above
-        above |= inc[v]
     # Pairwise-disjoint masks each need their own element.
     packed = low = 0
     for mask in masks:
@@ -122,43 +115,46 @@ def _min_hitting_subset(n: int, masks: list[int]) -> tuple[int, frozenset[int]]:
             packed |= mask
             low += 1
 
-    size = _min_hitting_size(masks, inc, low)
-    # Open "leave v out" branches: (v, taken, len(taken), unhit).
-    stack = [(0, 0, 0, (1 << len(masks)) - 1)]
-    while stack:
-        v, taken, count, unhit = stack.pop()
-        while unhit:
-            if count == size:
-                break
-            if not unhit & last[v]:
-                stack.append((v + 1, taken, count, unhit))
-            taken |= 1 << v
-            count += 1
-            unhit &= ~inc[v]
-            v += 1
-        else:
-            return size, frozenset(_bits(taken))
-    raise AssertionError("the sizing search found a set of this size; unreachable")
+    unhit = (1 << len(masks)) - 1
+    # Each element taken hits a new mask, so no set outgrows len(masks).
+    size, known = _min_hitting_search(masks, inc, unhit, 0, len(masks) + 1, low)
+    for v in range(n):
+        bit = 1 << v
+        if not known & bit:
+            if not unhit & inc[v]:
+                continue
+            taken = known & (bit - 1)
+            room = size - taken.bit_count() - 1
+            _, found = _min_hitting_search(masks, inc, unhit & ~inc[v], 2 * bit - 1, room + 1, room)
+            if found is None:
+                continue
+            known = taken | bit | found
+        unhit &= ~inc[v]
+    return size, frozenset(_bits(known))
 
 
-def _min_hitting_size(masks: list[int], inc: list[int], low: int) -> int:
-    """Fewest elements meeting every mask, given that ``low`` is a lower
-    bound (``inc`` as in :func:`_min_hitting_subset`).
+def _min_hitting_search(
+    masks: list[int], inc: list[int], unhit: int, excluded: int, best: int, stop: int
+) -> tuple[int, int | None]:
+    """A set of elements outside ``excluded`` that meets every mask whose
+    bit is set in ``unhit`` (``inc`` as in :func:`_min_hitting_subset`), as
+    ``(len(set), set)``: the first one found with at most ``stop``
+    elements, or else the smallest with fewer than ``best``; ``(best,
+    None)`` when there is none.
 
     A depth-first branch and bound branches on the first unhit mask, the
     shortest, {e1 < ... < er}: child i takes e_i and leaves e1 .. e(i-1) out
     for the rest of its branch.  A branch is cut once it cannot beat the
-    smallest set found so far, and the search stops when a set reaches
-    ``low``.
+    smallest set found so far, and the search stops at the first set of at
+    most ``stop`` elements.
     """
-    if not masks:
-        return 0
-    # Each element taken hits a new mask, so no branch outgrows len(masks).
-    best = len(masks) + 1
-    # Open branches: (len(taken), unhit, elements left out).
-    stack = [(0, (1 << len(masks)) - 1, 0)]
+    if not unhit:
+        return 0, 0
+    found = None
+    # Open branches: (len(taken), unhit, elements left out, taken).
+    stack = [(0, unhit, excluded, 0)]
     while stack:
-        count, unhit, excluded = stack.pop()
+        count, unhit, excluded, taken = stack.pop()
         count += 1
         if count >= best:
             continue
@@ -171,13 +167,13 @@ def _min_hitting_size(masks: list[int], inc: list[int], low: int) -> int:
             choices ^= 1 << top
             left = unhit & ~inc[top]
             if not left:
-                if count == low:
-                    return low
-                best = count
+                best, found = count, taken | 1 << top
+                if count <= stop:
+                    return best, found
                 break
             if count + 1 < best:
-                stack.append((count, left, excluded | choices))
-    return best
+                stack.append((count, left, excluded | choices, taken | 1 << top))
+    return best, found
 
 
 def is_distance_equalizer(g: Graph, s) -> bool:

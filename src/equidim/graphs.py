@@ -35,7 +35,8 @@ class Graph:
     """Undirected simple graph, immutable after construction.
 
     Edges are deduplicated and stored sorted as ``(u, v)`` with ``u < v``.
-    Self-loops and out-of-range endpoints are rejected.
+    Self-loops, out-of-range endpoints and anything other than a pair of
+    plain integers are rejected.
     """
 
     def __init__(
@@ -48,12 +49,17 @@ class Graph:
             raise GraphError(f"graph order must be a positive integer, got {n!r}")
         seen: set[tuple[int, int]] = set()
         for pair in edges:
-            u, v = pair
+            try:
+                u, v = pair
+            except (TypeError, ValueError):
+                raise GraphError(f"edge {pair!r} is not a pair of vertices") from None
+            if type(u) is not int or type(v) is not int:
+                raise GraphError(f"edge {pair!r} has an endpoint that is not an integer")
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge {pair!r} has an endpoint outside 0..{n - 1}")
             if u == v:
                 raise GraphError(f"self-loop at vertex {u} is not allowed")
-            seen.add((min(u, v), max(u, v)))
+            seen.add((u, v) if u < v else (v, u))
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != n:

@@ -28,7 +28,8 @@ from equidim import (
     xi_corona_structured,
     xi_total,
 )
-from equidim.equalizers import _min_hitting_subset
+from equidim import equalizers
+from equidim.equalizers import _equalizer_masks, _min_hitting_subset
 from equidim.families import (
     chorded_path_graph,
     complete_bipartite_graph,
@@ -197,6 +198,45 @@ class TestHittingSetSearch:
         g, xi, total = FROZEN[name]
         assert _value_and_witness(xi_bruteforce(g)) == xi
         assert _value_and_witness(xi_total(g)) == total
+
+    @pytest.mark.parametrize(
+        "g, size, witness",
+        [
+            (cycle_graph(32), 23, [*range(15), *range(16, 31, 2)]),
+            (
+                path_graph(40),
+                31,
+                [0, 2, 3, 4, 6, 7, 8, 9, 10, 12, 14, 15, 16, 17, 18, 19, 20, 21, 22]
+                + [24, 25, 26, 28, 30, 31, 32, 33, 34, 35, 36, 38],
+            ),
+            (cycle_graph(40), 29, [*range(19), *range(20, 39, 2)]),
+        ],
+        ids=["C_32", "P_40", "C_40"],
+    )
+    def test_frozen_witnesses_above_the_order_cap(self, g, size, witness):
+        # xi_bruteforce caps the order at 18, so the search is called directly.
+        assert _min_hitting_subset(g.n, _equalizer_masks(g)) == (size, frozenset(witness))
+
+    def test_feasibility_searches_exclude_every_decided_vertex(self, monkeypatch):
+        # A vertex left out earlier is in no set of the allowed size, so
+        # leaving it open changes no result; it only widens the search.
+        search = equalizers._min_hitting_search
+        excluded = []
+
+        def recording(masks, inc, unhit, out, best, stop):
+            excluded.append(out)
+            return search(masks, inc, unhit, out, best, stop)
+
+        monkeypatch.setattr(equalizers, "_min_hitting_search", recording)
+        g = path_graph(18)
+        _min_hitting_subset(g.n, _equalizer_masks(g))
+        sizing, *feasibility = excluded
+        assert sizing == 0 and feasibility
+        assert all(out & (out + 1) == 0 for out in feasibility)
+        assert feasibility == sorted(set(feasibility))
+
+    def test_empty_family(self):
+        assert _min_hitting_subset(4, []) == (0, frozenset())
 
     @given(mask_families())
     @settings(max_examples=300, deadline=None)

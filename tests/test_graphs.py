@@ -49,6 +49,16 @@ class TestConstruction:
         with pytest.raises(GraphError, match="self-loop"):
             Graph(3, [(1, 1)])
 
+    @pytest.mark.parametrize("edge", [(0, 1.0), (0, "1"), (0, True), (True, 2)])
+    def test_non_integer_endpoint_rejected(self, edge):
+        with pytest.raises(GraphError, match="not an integer"):
+            Graph(3, [edge])
+
+    @pytest.mark.parametrize("edge", [(0, 1, 2), (0,), 5, None])
+    def test_non_pair_edge_rejected(self, edge):
+        with pytest.raises(GraphError, match="not a pair"):
+            Graph(3, [edge])
+
     def test_bad_order_rejected(self):
         with pytest.raises(GraphError):
             Graph(0, [])
