@@ -20,7 +20,8 @@ import argparse
 import json
 import re
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import chain
 
 from . import covers, equalizers, suites, theory
 from .bisectors import bisector, empty_bisector_graph
@@ -146,19 +147,17 @@ def _beta_star(g: Graph, args, budget):
 
 
 def _k_threshold(g: Graph, args, budget):
-    line = equalizers.k_threshold(g, max_order=budget)
     if args.sweep:
+        # CSV of ξ(G ⊙ H) over n(H) = lo..hi, one row printed as each is
+        # solved.  The first row is solved before the header is printed, so a
+        # budget or connectivity error leaves stdout empty.
         lo, hi = _parse_range(args.sweep)
-        return None, _sweep(g, lo, hi, budget)
+        solve = partial(equalizers.xi_corona_structured, g, max_order=budget)
+        rows = (f"{n_h},{solve(n_h).value}" for n_h in range(lo, hi + 1))
+        return None, chain(["nh,xi", next(rows)], rows)
+    line = equalizers.k_threshold(g, max_order=budget)
     text = f"xi = {line.slope}*n(H) + {line.k} for n(H) > {line.threshold}"
     return line._asdict(), [f"{text} (threshold bound: {line.threshold_bound})"]
-
-
-def _sweep(g: Graph, lo: int, hi: int, budget):
-    """CSV of ξ(G ⊙ H) over n(H) = lo..hi, one row printed as each is solved."""
-    yield "nh,xi"
-    for n_h in range(lo, hi + 1):
-        yield f"{n_h},{equalizers.xi_corona_structured(g, n_h, max_order=budget).value}"
 
 
 def _forward_check(g: Graph, args, budget):

@@ -205,18 +205,15 @@ def clique_number(g: Graph, max_order: int | None = None) -> CoverResult:
     return CoverResult(size, frozenset(_bits(fixed)))
 
 
-def iter_cover_masks(
-    adj: tuple[int, ...], n: int, max_size: int
-) -> Iterator[tuple[int, int]]:
-    """Stream ``(size, mask)`` for every vertex cover of at most ``max_size``
-    vertices: sizes nondecreasing, covers of one size in lexicographic order
-    (as sorted tuples, the order of ``itertools.combinations``), each cover
-    exactly once.
+def iter_cover_masks(adj: tuple[int, ...], n: int) -> Iterator[tuple[int, int]]:
+    """Stream ``(size, mask)`` for every vertex cover: sizes nondecreasing,
+    covers of one size in lexicographic order (as sorted tuples, the order
+    of ``itertools.combinations``), each cover exactly once.
 
     Sizes start at the clique-partition lower bound, below which no cover
     exists; each size is one :func:`_covers_of_size`.
     """
     full = (1 << n) - 1
-    for size in range(_clique_lower_bound(adj, full), min(max_size, n) + 1):
+    for size in range(_clique_lower_bound(adj, full), n + 1):
         for mask in _covers_of_size(adj, full, size):
             yield size, mask

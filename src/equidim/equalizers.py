@@ -256,15 +256,19 @@ def _best_split(g: Graph, n_h: int) -> tuple[int, int, int]:
     bisector graph inside U that holds the mandatory vertices of U.  Covers
     stream in nondecreasing size, so the first optimum found realizes the
     tie-break (smallest |U|, then lexicographic U, then lexicographic L).
+
+    A split costs its base ``n + |U| * (n_h - 1)`` plus t(U), and the base
+    never falls along the stream.  So the search stops at the first
+    improving split with t(U) = 0, which costs its base: no later split is
+    cheaper.
     """
     n = g.n
-    adj, beta = g.ghat_rows, g.ghat_beta
+    adj = g.ghat_rows
     full = (1 << n) - 1
-    floor = n + beta * (n_h - 1)
     fw = g.forward_masks
 
     best: tuple[int, int, int] | None = None
-    for size, umask in covers.iter_cover_masks(adj, n, n):
+    for size, umask in covers.iter_cover_masks(adj, n):
         base = size * n_h + (n - size)
         if best is not None and base >= best[0]:
             break
@@ -273,13 +277,13 @@ def _best_split(g: Graph, n_h: int) -> tuple[int, int, int]:
         active = umask & ~mandatory
         # With U = V nothing is mandatory and the subproblem is Ĝ itself.
         t = mandatory.bit_count() + (
-            beta if active == full else covers.min_cover_size(adj, active)
+            g.ghat_beta if active == full else covers.min_cover_size(adj, active)
         )
         cost = base + t
         if best is None or cost < best[0]:
             tmask = covers.lexmin_cover(adj, umask, mandatory, t)
             best = (cost, umask, outside | tmask)
-            if cost == floor:
+            if t == 0:
                 break
     assert best is not None, "the pair (any cover, all vertices) is always valid"
     return best
@@ -324,16 +328,15 @@ def beta_star(g: Graph, max_order: int | None = None) -> covers.CoverResult:
     bisector graph that jointly cover all vertices and admit the step-ahead
     witnesses.
 
-    The overlap of a split is t(U), so this is the corona search at
-    ``n_h = 1``, whose cost is n + t(U).  It may visit every cover, hence
-    the tighter default budget.
+    The overlap of a split is t(U), so this is the corona result at
+    ``n_h = 1``, whose value is n + t(U): the overlap is that value minus
+    n, with U & L as witness and (U, L) as the pair.  It may visit every
+    cover, hence the tighter default budget.
     """
     check_budget(g.n, max_order, MAX_BETA_STAR_ORDER)
-    g.require_connected()
-    cost, umask, lmask = _best_split(g, 1)
-    upper = frozenset(_bits(umask))
-    lower = frozenset(_bits(lmask))
-    return covers.CoverResult(cost - g.n, upper & lower, (upper, lower))
+    result = xi_corona_structured(g, 1, max_order)
+    upper, lower = result.decomposition
+    return covers.CoverResult(result.value - g.n, upper & lower, result.decomposition)
 
 
 def k_threshold(g: Graph, max_order: int | None = None) -> ThresholdLine:

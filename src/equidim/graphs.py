@@ -82,9 +82,6 @@ class Graph:
         """Number of edges."""
         return len(self.edges)
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         mask = self.adjacency_bits[v]
         return tuple(u for u in range(self.n) if mask >> u & 1)

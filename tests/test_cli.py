@@ -123,6 +123,24 @@ def test_k_threshold_sweep_csv(capsys, fish_file):
     assert out.splitlines() == ["nh,xi", "1,6", "2,8", "3,9", "4,10"]
 
 
+def test_k_threshold_sweep_never_solves_beta_star(capsys, fish_file, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("beta_star called")
+
+    monkeypatch.setattr(equalizers, "beta_star", fail)
+    code, out, _ = run(capsys, "k-threshold", fish_file, "--sweep", "1..2")
+    assert code == 0
+    assert out.splitlines() == ["nh,xi", "1,6", "2,8"]
+
+
+def test_k_threshold_independence_only_bound(capsys, tmp_path):
+    path = tmp_path / "p17.edges"
+    path.write_text(format_edge_list(path_graph(17)))
+    code, out, _ = run(capsys, "k-threshold", str(path))
+    assert code == 0
+    assert out == "xi = 8*n(H) + 9 for n(H) > 9 (threshold bound: independence-only)\n"
+
+
 def test_forward_check(capsys, tmp_path):
     from equidim.families import k4_leaves_graph
 

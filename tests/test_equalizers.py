@@ -29,7 +29,7 @@ from equidim import (
     xi_total,
 )
 from equidim import equalizers
-from equidim.equalizers import _equalizer_masks, _min_hitting_subset
+from equidim.equalizers import ThresholdLine, _equalizer_masks, _min_hitting_subset
 from equidim.families import (
     chorded_path_graph,
     complete_bipartite_graph,
@@ -324,6 +324,14 @@ class TestXiCoronaStructured:
         with pytest.raises(GraphError, match="connected"):
             xi_corona_structured(Graph(3, [(0, 1)]), 1)
 
+    def test_cold_request_solves_no_separate_ghat_cover(self):
+        # Ĝ of C_14 is K_{7,7}; the stream's first cover has t(U) = 0, so
+        # the search stops there without reading β(Ĝ).
+        g = cycle_graph(14)
+        result = xi_corona_structured.__wrapped__(g, 2)
+        assert result.value == 7 * 2 + 7
+        assert "ghat_beta" not in g.__dict__
+
     def test_decomposition_contract(self, fish, pendant_triangle, chorded_path):
         for g in (fish, pendant_triangle, chorded_path):
             ghat = empty_bisector_graph(g).graph
@@ -528,6 +536,15 @@ class TestKThreshold:
     def test_odd_cycle_constant(self):
         line = k_threshold(cycle_graph(5))
         assert (line.k, line.slope) == (5, 0)
+
+    def test_independence_only_above_the_overlap_cap(self):
+        # Order 17 is above the β* cap of 16, so the threshold falls back
+        # to α(Ĝ); the line it reports must still hold past it.
+        g = path_graph(17)
+        line = k_threshold(g)
+        assert line == ThresholdLine(9, 9, 8, "independence-only")
+        for n_h in range(10, 13):
+            assert xi_corona_structured(g, n_h).value == 8 * n_h + 9
 
     def test_line_is_exact_beyond_threshold(self, fish, chorded_path):
         for g in (fish, chorded_path):

@@ -55,6 +55,11 @@ class TestBoundsReport:
                 assert r.floor <= r.exact
                 assert r.lower_weak <= r.lower <= r.exact <= r.upper <= r.upper_via_xi
 
+    def test_lower_bound_dropped_above_the_overlap_cap(self):
+        # β* is over its cap of 16 at order 17; ξ (cap 18) still bounds.
+        r = bounds_report(path_graph(17), 2)
+        assert (r.lower, r.exact, r.upper_via_xi) == (None, 25, 41)
+
     def test_over_the_cover_cap_is_rejected_before_any_distance(self):
         g = path_graph(29)
         with pytest.raises(BudgetError, match="cap 28"):
