@@ -296,11 +296,14 @@ def xi_corona_structured(
     """Exact corona dimension for any copy graph of order ``n_h``, computed
     on the base graph alone: the minimum of ``|U| * n_h + |L|`` over the
     valid splits (U, L), with full copies over U and L in the base.
+
+    The cache keys on the call form, so every caller whose own budget
+    check covers this one calls it as ``(g, n_h)``, sharing one search.
     """
     if not isinstance(n_h, int) or n_h < 1:
         raise GraphError(f"copy order must be a positive integer, got {n_h!r}")
     check_budget(g.n, max_order, covers.MAX_EXACT_ORDER)
-    g.require_connected()
+    # The first table the search reads rejects a disconnected graph.
     n = g.n
     cost, umask, lmask = _best_split(g, n_h)
     upper = frozenset(_bits(umask))
@@ -334,7 +337,7 @@ def beta_star(g: Graph, max_order: int | None = None) -> covers.CoverResult:
     cover, hence the tighter default budget.
     """
     check_budget(g.n, max_order, MAX_BETA_STAR_ORDER)
-    result = xi_corona_structured(g, 1, max_order)
+    result = xi_corona_structured(g, 1)
     upper, lower = result.decomposition
     return covers.CoverResult(result.value - g.n, upper & lower, result.decomposition)
 
@@ -348,12 +351,11 @@ def k_threshold(g: Graph, max_order: int | None = None) -> ThresholdLine:
     which is always at least the exact threshold.
     """
     check_budget(g.n, max_order, covers.MAX_EXACT_ORDER)
-    g.require_connected()
-    beta = g.ghat_beta
+    beta = g.ghat_beta  # rejects a disconnected graph
     alpha = g.n - beta
     overlap = 0
     try:
-        bstar = beta_star(g, max_order)
+        bstar = beta_star(g)
         overlap = bstar.value
         threshold = min(alpha, beta - overlap + 1)
         bound = "exact"
@@ -361,7 +363,7 @@ def k_threshold(g: Graph, max_order: int | None = None) -> ThresholdLine:
         threshold = alpha
         bound = "independence-only"
     slope = beta
-    probe = xi_corona_structured(g, threshold + 1, max_order)
+    probe = xi_corona_structured(g, threshold + 1)
     k = probe.value - slope * (threshold + 1)
     if not alpha + overlap <= k <= g.n:
         raise AssertionError(

@@ -1,10 +1,12 @@
 """Immutable simple graphs with cached per-graph tables, plus the corona
 and join constructions.
 
-One table is built per graph: the distance layers, a bitset BFS from every
-vertex.  The all-pairs distances and the pair bisector masks are read off
-the layers on first use, the forward masks and the adjacency rows of the
-empty bisector graph Ĝ off one shared walk over them, and β(Ĝ) off the rows.
+Two tables are built per graph, each by a bitset BFS from every vertex.
+The distance layers keep every BFS layer; the all-pairs distances, the pair
+bisector masks and the eccentricities are read off them on first use.  The
+corona tables, the forward masks and the adjacency rows of the empty
+bisector graph Ĝ, come from one BFS pass of their own that keeps no layers
+and rejects a disconnected graph as it goes; β(Ĝ) is read off the rows.
 
 Vertices are always the integers ``0 .. n-1`` internally.  A graph may carry
 external vertex labels (for instance the 1-indexed names used in input
@@ -128,7 +130,7 @@ class Graph:
     @cached_property
     def _distance_layers(self) -> tuple[tuple[int, ...], ...]:
         # layers[u][d] is the bitmask of the vertices at distance d from u;
-        # every other per-graph table is read off these.
+        # the distances, bisector masks and eccentricities are read off these.
         return tuple(self._bfs_layers(u) for u in range(self.n))
 
     @cached_property
@@ -136,8 +138,9 @@ class Graph:
         """All-pairs shortest path lengths, read off the distance layers.
 
         Entries for unreachable pairs are :data:`INFINITY`.  Computed once
-        and cached; only distance queries read it, since the bisector,
-        forward and Ĝ tables come from the layers directly.
+        and cached; only distance queries read it, since the bisector masks
+        come from the layers directly and the forward and Ĝ tables from
+        their own BFS pass.
         """
         rows = []
         for layers in self._distance_layers:
@@ -189,28 +192,37 @@ class Graph:
 
     @cached_property
     def _forward_and_ghat(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        # One walk: x in layer d of w gets layer d - 1 in fw[x], layer d in near[x].
-        self.require_connected()
+        # A bitset BFS from every source w that keeps no layers: each x in
+        # layer d of w gets layer d - 1 in fw[x] and layer d in near[x].
+        adj = self.adjacency_bits
+        full = (1 << self.n) - 1
         fw, near = [0] * self.n, [0] * self.n
-        for layers in self._distance_layers:
+        for w in range(self.n):
+            seen = layer = 1 << w
             prev = 0
-            for layer in layers:
+            while layer:
+                reach = 0
                 rest = layer
                 while rest:
                     low = rest & -rest
                     x = low.bit_length() - 1
+                    reach |= adj[x]
                     fw[x] |= prev
                     near[x] |= layer
                     rest ^= low
                 prev = layer
-        full = (1 << self.n) - 1
+                layer = reach & ~seen
+                seen |= layer
+            if seen != full:
+                raise GraphError("operation requires a connected graph")
         return tuple(fw), tuple(full & ~mask for mask in near)
 
     @property
     def forward_masks(self) -> tuple[int, ...]:
         """``masks[x]`` has bit v set iff some w has d(w, x) = d(w, v) + 1:
-        every x in layer d of w gets layer d - 1 of w.  Connected graphs
-        only."""
+        every x in layer d of w gets layer d - 1 of w.  Built with
+        :attr:`ghat_rows` in one BFS pass that keeps no layers and rejects
+        a disconnected graph."""
         return self._forward_and_ghat[0]
 
     @property

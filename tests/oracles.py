@@ -4,6 +4,10 @@ Everything here is deliberately written from the definitions, with no
 imports from the package under test: Floyd-Warshall instead of BFS,
 subset scans instead of branch and bound, and an explicit corona
 construction instead of the arithmetic layout.
+
+:func:`forward_and_ghat_from_layers` is a reference rather than an oracle:
+the walk over stored BFS distance layers that the package's one-pass
+forward-mask and Ĝ-row BFS replaced, kept to check that pass against.
 """
 
 from __future__ import annotations
@@ -230,3 +234,24 @@ def beta_star(n, edges):
             if best is None or overlap < best:
                 best = overlap
     return best
+
+
+def forward_and_ghat_from_layers(n, layers):
+    """``(forward masks, Ĝ rows)`` of a connected graph by one walk over its
+    distance layers, ``layers[w][d]`` being the bitmask of the vertices at
+    distance d from w: each x in layer d of w gets layer d - 1 in its
+    forward mask, and its Ĝ row is V minus the union of its n layers."""
+    fw, near = [0] * n, [0] * n
+    for source_layers in layers:
+        prev = 0
+        for layer in source_layers:
+            rest = layer
+            while rest:
+                low = rest & -rest
+                x = low.bit_length() - 1
+                fw[x] |= prev
+                near[x] |= layer
+                rest ^= low
+            prev = layer
+    full = (1 << n) - 1
+    return tuple(fw), tuple(full & ~mask for mask in near)

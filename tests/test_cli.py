@@ -273,6 +273,22 @@ def test_budget_flag_never_raises_a_cap(capsys, tmp_path, command, graph, budget
     assert "out of budget" in err and f"cap {cap}" in err
 
 
+def test_commands_share_one_corona_search_per_copy_order(capsys, fish_file):
+    # A budget the graph fits is left out of the cached call, so every
+    # command below reads the first one's n(H) = 1 search.
+    equalizers.beta_star.cache_clear()
+    equalizers.xi_corona_structured.cache_clear()
+    for argv in (
+        ("beta-star", fish_file, "--budget", "10"),
+        ("xi-corona", fish_file, "--nh", "1"),
+        ("xi-corona", fish_file, "--nh", "1", "--budget", "6"),
+        ("k-threshold", fish_file, "--sweep", "1..1"),
+        ("bounds", fish_file, "--nh", "1"),
+    ):
+        assert run(capsys, *argv)[0] == 0
+    assert equalizers.xi_corona_structured.cache_info().misses == 1
+
+
 def test_order_above_the_input_limit_exit_one(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(f"{MAX_INPUT_ORDER + 1} 0\n"))
     code, out, err = run(capsys, "dist", "-")

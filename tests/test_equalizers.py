@@ -332,6 +332,14 @@ class TestXiCoronaStructured:
         assert result.value == 7 * 2 + 7
         assert "ghat_beta" not in g.__dict__
 
+    def test_cold_request_builds_no_layers_and_no_connectivity_flag(self):
+        # The corona tables come from their own BFS pass, which also
+        # rejects a disconnected graph, so neither of these is built.
+        g = cycle_graph(14)
+        xi_corona_structured.__wrapped__(g, 2)
+        assert "_distance_layers" not in g.__dict__
+        assert "is_connected" not in g.__dict__
+
     def test_decomposition_contract(self, fish, pendant_triangle, chorded_path):
         for g in (fish, pendant_triangle, chorded_path):
             ghat = empty_bisector_graph(g).graph
@@ -373,6 +381,27 @@ class TestXiCoronaStructured:
             product = corona(fish, empty_graph(n_h)).product
             assert is_distance_equalizer(product, result.witness)
             assert len(result.witness) == result.value
+
+
+CORONA_ENTRY_POINTS = {
+    "xi_corona_structured": lambda g, **kw: xi_corona_structured(g, 2, **kw),
+    "beta_star": beta_star,
+    "k_threshold": k_threshold,
+}
+
+
+@pytest.mark.parametrize("solve", CORONA_ENTRY_POINTS.values(), ids=CORONA_ENTRY_POINTS)
+class TestCoronaPreconditions:
+    def test_disconnected_rejected(self, solve):
+        # Vertex 0 reaches every vertex but the last.
+        with pytest.raises(GraphError, match="operation requires a connected graph"):
+            solve(Graph(5, [(0, 1), (1, 2), (2, 3)]))
+
+    def test_budget_is_checked_before_connectivity(self, solve):
+        with pytest.raises(BudgetError, match="cap 4"):
+            solve(Graph(5, [(0, 1)]), max_order=4)
+        with pytest.raises(BudgetError, match="order 29"):
+            solve(Graph(29))
 
 
 class TestXiCoronaOracle:
@@ -494,7 +523,7 @@ class TestKThreshold:
         row_builds = []
         builds = []
         solves = []
-        # One walk builds the forward masks and the Ĝ rows together.
+        # One BFS pass builds the forward masks and the Ĝ rows together.
         rows = Graph.__dict__["_forward_and_ghat"].func
         build = bisectors.empty_bisector_graph
         solve = covers.min_cover_size

@@ -1,5 +1,7 @@
+import json
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -196,6 +198,33 @@ class TestPerGraphTables:
         assert g.ghat_rows == rows
         assert g.ghat_beta == beta
         assert g.forward_masks == rows
+
+
+LADDER_POOL = Path(__file__).parents[1] / "perfbench" / "data" / "ladder_pool.json"
+
+
+def _check_against_layer_walk(g):
+    # The layers are checked against Floyd-Warshall in ``_check_tables``.
+    fw, rows = oracles.forward_and_ghat_from_layers(g.n, g._distance_layers)
+    assert g.forward_masks == fw
+    assert g.ghat_rows == rows
+
+
+class TestOnePassCoronaTables:
+    """The forward masks and Ĝ rows come from a BFS pass of their own; the
+    walk over the distance layers is their reference."""
+
+    def test_every_connected_labelled_graph_up_to_order_six(self):
+        for n in range(1, 7):
+            for g in _all_labelled_graphs(n):
+                if oracles.is_connected(n, g.edges):
+                    _check_against_layer_walk(g)
+
+    def test_benchmark_ladder_graphs(self):
+        graphs = json.loads(LADDER_POOL.read_text(encoding="utf-8"))["graphs"]
+        assert len(graphs) == 10
+        for entry in graphs:
+            _check_against_layer_walk(Graph(entry["n"], [tuple(e) for e in entry["edges"]]))
 
 
 class TestCorona:

@@ -7,6 +7,7 @@ from equidim import (
     FamilySpec,
     Graph,
     GraphError,
+    beta_star,
     bipartite_formula,
     bounds_report,
     closed_formula,
@@ -40,6 +41,14 @@ class TestBoundsReport:
         r = bounds_report(fish, 1)
         assert (r.lower, r.upper, r.exact) == (6, 7, 6)
         assert r.floor == 6 and r.lower_weak == 6
+
+    def test_one_corona_search_per_copy_order(self, fish):
+        # β* is the n(H) = 1 corona result, so the exact value reuses it.
+        beta_star.cache_clear()
+        xi_corona_structured.cache_clear()
+        bounds_report(fish, 1)
+        info = xi_corona_structured.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
     def test_fish_nh3(self, fish):
         r = bounds_report(fish, 3)
