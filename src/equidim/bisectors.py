@@ -17,7 +17,9 @@ from .graphs import Graph, _bits
 
 def bisector(g: Graph, u: int, v: int) -> frozenset[int]:
     """All vertices ``w`` with ``d(w, u) == d(w, v)``; requires ``u != v``."""
-    g.require_connected()
+    # One BFS, before the n BFS runs of the distances.
+    if not g.is_connected:
+        raise GraphError("operation requires a connected graph")
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise GraphError(f"vertices {u}, {v} outside 0..{g.n - 1}")
     if u == v:

@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import covers
-from .errors import BudgetError, GraphError, check_budget
+from .errors import BudgetError, GraphError, check_budget, check_copy_order
 from .graphs import Graph, _bits, corona
 
 #: Order cap for the exact hitting-set searches (ξ and ξ_total) on one graph.
@@ -179,9 +179,9 @@ def _min_hitting_search(
 def is_distance_equalizer(g: Graph, s) -> bool:
     """True iff every pair of distinct vertices outside ``s`` has a member
     of ``s`` equidistant from both."""
-    g.require_connected()
+    masks = _equalizer_masks(g)  # rejects a disconnected graph before ``s``
     smask = g.mask(s)
-    return all(hit & smask for hit in _equalizer_masks(g))
+    return all(hit & smask for hit in masks)
 
 
 def xi_bruteforce(g: Graph, max_order: int | None = None) -> EquidimResult:
@@ -189,7 +189,6 @@ def xi_bruteforce(g: Graph, max_order: int | None = None) -> EquidimResult:
     ``B(u, v) | {u, v}``, with the lexicographically smallest minimum set as
     witness."""
     check_budget(g.n, max_order, MAX_BRUTE_ORDER)
-    g.require_connected()
     return EquidimResult(*_min_hitting_subset(g.n, _equalizer_masks(g)))
 
 
@@ -198,7 +197,6 @@ def xi_total(g: Graph, max_order: int | None = None) -> EquidimResult:
     sentinel when some bisector is empty (the empty bisector graph has an
     edge)."""
     check_budget(g.n, max_order, MAX_BRUTE_ORDER)
-    g.require_connected()
     masks = [mask for _, _, mask in g.bisector_masks]
     if not all(masks):
         return EquidimResult(INFINITE, None)
@@ -211,13 +209,13 @@ def xi_total(g: Graph, max_order: int | None = None) -> EquidimResult:
 def forward_equalized(g: Graph, pair: ForwardPair) -> bool:
     """True iff every (u, v) in (X-Y) x (Y-X) has a witness w with
     d(w, u) = d(w, v) + 1."""
-    g.require_connected()
+    fw = g.forward_masks  # rejects a disconnected graph before the sets
     xmask = g.mask(pair.x)
     ymask = g.mask(pair.y)
     full = (1 << g.n) - 1
     if xmask | ymask != full:
         raise GraphError("the two sets must jointly cover every vertex")
-    return _mandatory(g.forward_masks, xmask & ~ymask, ymask & ~xmask) == 0
+    return _mandatory(fw, xmask & ~ymask, ymask & ~xmask) == 0
 
 
 def _mandatory(fw: tuple[int, ...], umask: int, outside: int) -> int:
@@ -238,10 +236,10 @@ def mandatory_set(g: Graph, u) -> frozenset[int]:
     A member x of ``u`` is mandatory when some outside vertex v admits no w
     with d(w, x) = d(w, v) + 1.
     """
-    g.require_connected()
+    fw = g.forward_masks  # rejects a disconnected graph before ``u``
     umask = g.mask(u)
     outside = ((1 << g.n) - 1) & ~umask
-    return frozenset(_bits(_mandatory(g.forward_masks, umask, outside)))
+    return frozenset(_bits(_mandatory(fw, umask, outside)))
 
 
 # -- corona product computations ------------------------------------------------
@@ -300,8 +298,7 @@ def xi_corona_structured(
     The cache keys on the call form, so every caller whose own budget
     check covers this one calls it as ``(g, n_h)``, sharing one search.
     """
-    if not isinstance(n_h, int) or n_h < 1:
-        raise GraphError(f"copy order must be a positive integer, got {n_h!r}")
+    check_copy_order(n_h)
     check_budget(g.n, max_order, covers.MAX_EXACT_ORDER)
     # The first table the search reads rejects a disconnected graph.
     n = g.n
@@ -319,9 +316,8 @@ def xi_corona_oracle(g: Graph, h: Graph, max_order: int | None = None) -> Equidi
     graph."""
     order = g.n * (1 + h.n)
     check_budget(order, max_order, MAX_ORACLE_ORDER)
-    g.require_connected()
-    product = corona(g, h).product
-    inner = xi_bruteforce(product, max_order=order)
+    # The product is connected iff g is, and its own table checks that.
+    inner = xi_bruteforce(corona(g, h).product)
     return EquidimResult(inner.value, inner.witness, None, h.n)
 
 

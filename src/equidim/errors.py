@@ -1,5 +1,5 @@
-"""Exception types shared by all equidim modules, and the budget check
-that raises :class:`BudgetError`."""
+"""Exception types shared by all equidim modules, the budget check that
+raises :class:`BudgetError`, and the copy-order check."""
 
 from __future__ import annotations
 
@@ -23,3 +23,10 @@ def check_budget(order: int, max_order: int | None, cap: int) -> None:
         cap = min(max_order, cap)
     if order > cap:
         raise BudgetError(f"exact search out of budget: order {order} exceeds cap {cap}")
+
+
+def check_copy_order(n_h: int) -> None:
+    """Raise :class:`GraphError` unless ``n_h`` is a plain positive ``int``;
+    ``True`` is rejected, since ``lru_cache`` keys it as ``1``."""
+    if type(n_h) is not int or n_h < 1:
+        raise GraphError(f"copy order must be a positive integer, got {n_h!r}")

@@ -5,8 +5,10 @@ Two tables are built per graph, each by a bitset BFS from every vertex.
 The distance layers keep every BFS layer; the all-pairs distances, the pair
 bisector masks and the eccentricities are read off them on first use.  The
 corona tables, the forward masks and the adjacency rows of the empty
-bisector graph Ĝ, come from one BFS pass of their own that keeps no layers
-and rejects a disconnected graph as it goes; β(Ĝ) is read off the rows.
+bisector graph Ĝ, come from one BFS pass of their own that keeps no layers;
+β(Ĝ) is read off the rows.  Each table that needs a connected graph rejects
+a disconnected one from its own BFS; ``is_connected``, one BFS from vertex
+0, serves the operations that read neither table first.
 
 Vertices are always the integers ``0 .. n-1`` internally.  A graph may carry
 external vertex labels (for instance the 1-indexed names used in input
@@ -47,7 +49,7 @@ class Graph:
         edges: Iterable[tuple[int, int]] = (),
         labels: Sequence[Hashable] | None = None,
     ):
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise GraphError(f"graph order must be a positive integer, got {n!r}")
         seen: set[tuple[int, int]] = set()
         for pair in edges:
@@ -160,11 +162,6 @@ class Graph:
         # The layers are disjoint, so their sum is their union.
         return sum(self._bfs_layers(0)) == (1 << self.n) - 1
 
-    def require_connected(self) -> None:
-        """Raise :class:`GraphError` unless the graph is connected."""
-        if not self.is_connected:
-            raise GraphError("operation requires a connected graph")
-
     def mask(self, vertices: Iterable[int]) -> int:
         """Bitmask of a vertex set; rejects vertices outside ``0..n-1``."""
         mask = 0
@@ -177,9 +174,11 @@ class Graph:
     @cached_property
     def bisector_masks(self) -> tuple[tuple[int, int, int], ...]:
         """``(u, v, mask)`` for every pair u < v, where ``mask`` holds the
-        vertices equidistant from u and v.  Connected graphs only."""
-        self.require_connected()
+        vertices equidistant from u and v.  Connected graphs only: the
+        layers from vertex 0 must hold every vertex."""
         layers = self._distance_layers
+        if sum(layers[0]) != (1 << self.n) - 1:
+            raise GraphError("operation requires a connected graph")
         out = []
         for u in range(self.n):
             lu = layers[u]

@@ -12,8 +12,8 @@ import random
 from dataclasses import dataclass
 
 from . import covers, equalizers
-from .errors import BudgetError, GraphError, check_budget
-from .families import FamilySpec
+from .errors import BudgetError, GraphError, check_budget, check_copy_order
+from .families import FamilySpec, _check
 from .graphs import Graph, degree_profile
 
 
@@ -72,8 +72,7 @@ def ghat_stats(g: Graph) -> tuple[int, int]:
 
 def bounds_report(g: Graph, n_h: int) -> BoundsReport:
     """Every general bound plus the exact structured value."""
-    if n_h < 1:
-        raise GraphError(f"copy order must be positive, got {n_h}")
+    check_copy_order(n_h)
     beta, alpha = ghat_stats(g)
     floor = g.n
     lower_weak = beta * n_h + alpha
@@ -110,11 +109,6 @@ def _params(spec: FamilySpec, count: int) -> tuple[int, ...]:
     return spec.params
 
 
-def _require(ok: bool, message: str) -> None:
-    if not ok:
-        raise GraphError(message)
-
-
 _FORMULA_FAMILIES = (
     "complete",
     "complete-bipartite",
@@ -129,21 +123,20 @@ _FORMULA_FAMILIES = (
 
 def closed_formula(spec: FamilySpec, n_h: int) -> FormulaValue:
     """Corona dimension of a named family by its closed-form clause."""
-    if n_h < 1:
-        raise GraphError(f"copy order must be positive, got {n_h}")
+    check_copy_order(n_h)
     name, params = spec.name, spec.params
     if name == "complete":
         (n,) = _params(spec, 1)
-        _require(n >= 2, f"complete clause needs n >= 2, got {n}")
+        _check(n >= 2, f"complete clause needs n >= 2, got {n}")
         value = n_h + 1 if n == 2 else n
         return FormulaValue(spec, n_h, value, "complete")
     if name == "complete-bipartite":
         r, s = _params(spec, 2)
-        _require(1 <= r <= s, f"complete-bipartite clause needs 1 <= r <= s, got {params}")
+        _check(1 <= r <= s, f"complete-bipartite clause needs 1 <= r <= s, got {params}")
         return FormulaValue(spec, n_h, r * n_h + s, "complete-bipartite")
     if name == "bistar":
         r, s = _params(spec, 2)
-        _require(1 <= r <= s, f"bistar clause needs 1 <= r <= s, got {params}")
+        _check(1 <= r <= s, f"bistar clause needs 1 <= r <= s, got {params}")
         return FormulaValue(
             spec,
             n_h,
@@ -153,24 +146,24 @@ def closed_formula(spec: FamilySpec, n_h: int) -> FormulaValue:
             alternate_value=(r + 1) * n_h + (s + 1),
         )
     if name == "complete-multipartite":
-        _require(len(params) >= 3, f"multipartite clause needs p >= 3 parts, got {params}")
-        _require(all(x >= 1 for x in params), f"part sizes must be >= 1, got {params}")
+        _check(len(params) >= 3, f"multipartite clause needs p >= 3 parts, got {params}")
+        _check(all(x >= 1 for x in params), f"part sizes must be >= 1, got {params}")
         return FormulaValue(spec, n_h, sum(params), "complete-multipartite")
     if name == "wheel":
         (n,) = _params(spec, 1)
-        _require(n >= 4, f"wheel clause needs n >= 4, got {n}")
+        _check(n >= 4, f"wheel clause needs n >= 4, got {n}")
         return FormulaValue(spec, n_h, n, "wheel")
     if name == "hypercube":
         (d,) = _params(spec, 1)
-        _require(d >= 1, f"hypercube clause needs dimension >= 1, got {d}")
+        _check(d >= 1, f"hypercube clause needs dimension >= 1, got {d}")
         return FormulaValue(spec, n_h, (1 << (d - 1)) * (n_h + 1), "hypercube")
     if name == "path":
         (n,) = _params(spec, 1)
-        _require(n >= 2, f"path clause needs n >= 2, got {n}")
+        _check(n >= 2, f"path clause needs n >= 2, got {n}")
         return FormulaValue(spec, n_h, (n // 2) * n_h + (n + 1) // 2, "path")
     if name == "cycle":
         (n,) = _params(spec, 1)
-        _require(n >= 3, f"cycle clause needs n >= 3, got {n}")
+        _check(n >= 3, f"cycle clause needs n >= 3, got {n}")
         value = n if n % 2 == 1 else n * (n_h + 1) // 2
         return FormulaValue(spec, n_h, value, "cycle")
     raise GraphError(

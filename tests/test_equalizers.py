@@ -13,6 +13,8 @@ from equidim import (
     Graph,
     GraphError,
     beta_star,
+    bisector,
+    bounds_report,
     closed_formula,
     corona,
     empty_bisector_graph,
@@ -402,6 +404,69 @@ class TestCoronaPreconditions:
             solve(Graph(5, [(0, 1)]), max_order=4)
         with pytest.raises(BudgetError, match="order 29"):
             solve(Graph(29))
+
+
+#: Every public call that rejects a disconnected graph; where the call also
+#: validates an argument, the argument here is invalid too, and the
+#: connectivity error must win.
+DISCONNECTED_CALLS = {
+    "xi_bruteforce": xi_bruteforce,
+    "xi_total": xi_total,
+    "is_distance_equalizer": lambda g: is_distance_equalizer(g, {9}),
+    "forward_equalized": lambda g: forward_equalized(
+        g, ForwardPair(frozenset({0}), frozenset({1}))
+    ),
+    "mandatory_set": lambda g: mandatory_set(g, {9}),
+    "xi_corona_oracle": lambda g: xi_corona_oracle(g, empty_graph(1)),
+    "bisector": lambda g: bisector(g, 0, 9),
+    "empty_bisector_graph": empty_bisector_graph,
+    "xi_corona_structured": lambda g: xi_corona_structured(g, 2),
+    "k_threshold": k_threshold,
+}
+
+
+class TestConnectivityPrecondition:
+    @pytest.mark.parametrize("call", DISCONNECTED_CALLS.values(), ids=DISCONNECTED_CALLS)
+    def test_disconnected_rejected_before_arguments(self, call):
+        # Vertex 0 reaches every vertex but the last.
+        g = Graph(5, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(GraphError) as info:
+            call(g)
+        assert str(info.value) == "operation requires a connected graph"
+
+    @pytest.mark.parametrize("solve", [xi_bruteforce, xi_total], ids=["xi", "xi_total"])
+    def test_hitting_set_search_runs_no_separate_connectivity_bfs(self, solve):
+        # The bisector masks read the layers from vertex 0, which already
+        # answer the question.
+        g = cycle_graph(9)
+        solve(g)
+        assert "is_connected" not in g.__dict__
+
+    def test_bisector_rejects_a_large_graph_before_any_table(self):
+        g = Graph(1024, [(0, 1)])
+        with pytest.raises(GraphError, match="operation requires a connected graph"):
+            bisector(g, 0, 1)
+        assert "distances" not in g.__dict__
+        assert "_distance_layers" not in g.__dict__
+
+
+class TestCopyOrder:
+    def test_rejected_bool_order_leaves_the_cache_clean(self):
+        # A base no other test uses, so the first call here is a miss.
+        g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 4), (0, 5)])
+        with pytest.raises(GraphError, match="copy order must be a positive integer"):
+            xi_corona_structured(g, True)
+        result = xi_corona_structured(g, 1)
+        assert type(result.n_h) is int and result.n_h == 1
+
+    @pytest.mark.parametrize("n_h", [0, True, 2.5])
+    def test_bounds_and_formula_reject_before_any_search(self, n_h):
+        g = cycle_graph(6)
+        with pytest.raises(GraphError, match="copy order must be a positive integer"):
+            bounds_report(g, n_h)
+        assert g.__dict__.keys() <= {"n", "edges", "labels", "adjacency_bits"}
+        with pytest.raises(GraphError, match="copy order must be a positive integer"):
+            closed_formula(FamilySpec("cycle", (6,)), n_h)
 
 
 class TestXiCoronaOracle:

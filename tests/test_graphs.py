@@ -65,6 +65,11 @@ class TestConstruction:
         with pytest.raises(GraphError):
             Graph(0, [])
 
+    @pytest.mark.parametrize("n", [True, 2.0, "3"])
+    def test_non_integer_order_rejected(self, n):
+        with pytest.raises(GraphError, match="positive integer"):
+            Graph(n)
+
     def test_labels_must_be_distinct(self):
         with pytest.raises(GraphError, match="distinct"):
             Graph(2, [], labels=(7, 7))
