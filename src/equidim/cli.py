@@ -20,7 +20,7 @@ import argparse
 import json
 import re
 import sys
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain
 
 from . import covers, equalizers, suites, theory
@@ -122,17 +122,8 @@ def _value_and_witness(g: Graph, args, budget):
     return {"value": result.value, "witness": witness}, [f"{result.value}  witness: {witness}"]
 
 
-def _cached(solve, g: Graph, *args, budget):
-    """``solve(g, *args)`` under ``budget``, left out when ``g`` fits it:
-    the solver's cache keys on the call form, and the library's own calls
-    use the short one."""
-    if budget is not None and g.n > budget:
-        return solve(g, *args, max_order=budget)
-    return solve(g, *args)
-
-
 def _xi_corona(g: Graph, args, budget):
-    result = _cached(equalizers.xi_corona_structured, g, args.nh, budget=budget)
+    result = equalizers.xi_corona_structured(g, args.nh, max_order=budget)
     over, base = (_labels(g, part) for part in result.decomposition)
     payload = {"value": result.value, "nh": args.nh, "copies_over": over, "base_part": base}
     lines = [f"{result.value}  copies over {over}; base part {base}"]
@@ -148,7 +139,7 @@ def _xi_corona(g: Graph, args, budget):
 
 
 def _beta_star(g: Graph, args, budget):
-    result = _cached(equalizers.beta_star, g, budget=budget)
+    result = equalizers.beta_star(g, max_order=budget)
     pair = [_labels(g, side) for side in result.pair]
     overlap = _labels(g, result.witness)
     payload = {"value": result.value, "overlap": overlap, "pair": pair}
@@ -161,8 +152,8 @@ def _k_threshold(g: Graph, args, budget):
         # solved.  The first row is solved before the header is printed, so a
         # budget or connectivity error leaves stdout empty.
         lo, hi = _parse_range(args.sweep)
-        solve = partial(_cached, equalizers.xi_corona_structured, g, budget=budget)
-        rows = (f"{n_h},{solve(n_h).value}" for n_h in range(lo, hi + 1))
+        solve = equalizers.xi_corona_structured
+        rows = (f"{n_h},{solve(g, n_h, max_order=budget).value}" for n_h in range(lo, hi + 1))
         return None, chain(["nh,xi", next(rows)], rows)
     line = equalizers.k_threshold(g, max_order=budget)
     text = f"xi = {line.slope}*n(H) + {line.k} for n(H) > {line.threshold}"

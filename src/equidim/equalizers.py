@@ -287,7 +287,6 @@ def _best_split(g: Graph, n_h: int) -> tuple[int, int, int]:
     return best
 
 
-@lru_cache(maxsize=4096)
 def xi_corona_structured(
     g: Graph, n_h: int, max_order: int | None = None
 ) -> EquidimResult:
@@ -295,11 +294,15 @@ def xi_corona_structured(
     on the base graph alone: the minimum of ``|U| * n_h + |L|`` over the
     valid splits (U, L), with full copies over U and L in the base.
 
-    The cache keys on the call form, so every caller whose own budget
-    check covers this one calls it as ``(g, n_h)``, sharing one search.
+    The checks run before the cache, which keys on ``(g, n_h)``.
     """
     check_copy_order(n_h)
     check_budget(g.n, max_order, covers.MAX_EXACT_ORDER)
+    return _corona_result(g, n_h)
+
+
+@lru_cache(maxsize=4096)
+def _corona_result(g: Graph, n_h: int) -> EquidimResult:
     # The first table the search reads rejects a disconnected graph.
     n = g.n
     cost, umask, lmask = _best_split(g, n_h)
@@ -309,6 +312,11 @@ def xi_corona_structured(
     for i in upper:
         witness.update(n + i * n_h + j for j in range(n_h))
     return EquidimResult(cost, frozenset(witness), (upper, lower), n_h)
+
+
+# The benchmark harness reads and clears the cache through the public name.
+xi_corona_structured.cache_info = _corona_result.cache_info
+xi_corona_structured.cache_clear = _corona_result.cache_clear
 
 
 def xi_corona_oracle(g: Graph, h: Graph, max_order: int | None = None) -> EquidimResult:
@@ -321,6 +329,7 @@ def xi_corona_oracle(g: Graph, h: Graph, max_order: int | None = None) -> Equidi
     return EquidimResult(inner.value, inner.witness, None, h.n)
 
 
+# Cached on its own, since the benchmark harness reads its cache_info().
 @lru_cache(maxsize=4096)
 def beta_star(g: Graph, max_order: int | None = None) -> covers.CoverResult:
     """Minimum overlap ``|U & L|`` over pairs of vertex covers of the empty

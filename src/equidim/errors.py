@@ -27,6 +27,6 @@ def check_budget(order: int, max_order: int | None, cap: int) -> None:
 
 def check_copy_order(n_h: int) -> None:
     """Raise :class:`GraphError` unless ``n_h`` is a plain positive ``int``;
-    ``True`` is rejected, since ``lru_cache`` keys it as ``1``."""
+    ``True`` and ``2.0`` are rejected, as neither is a plain ``int``."""
     if type(n_h) is not int or n_h < 1:
         raise GraphError(f"copy order must be a positive integer, got {n_h!r}")

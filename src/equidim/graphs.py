@@ -163,9 +163,11 @@ class Graph:
         return sum(self._bfs_layers(0)) == (1 << self.n) - 1
 
     def mask(self, vertices: Iterable[int]) -> int:
-        """Bitmask of a vertex set; rejects vertices outside ``0..n-1``."""
+        """Bitmask of a vertex set; rejects anything but ints in ``0..n-1``."""
         mask = 0
         for v in vertices:
+            if type(v) is not int:
+                raise GraphError(f"vertex {v!r} is not an integer")
             if not 0 <= v < self.n:
                 raise GraphError(f"vertex {v} outside 0..{self.n - 1}")
             mask |= 1 << v

@@ -274,8 +274,8 @@ def test_budget_flag_never_raises_a_cap(capsys, tmp_path, command, graph, budget
 
 
 def test_commands_share_one_corona_search_per_copy_order(capsys, fish_file):
-    # A budget the graph fits is left out of the cached call, so every
-    # command below reads the first one's n(H) = 1 search.
+    # The cache keys on (graph, n(H)) whatever the budget, so every command
+    # below reads the first one's n(H) = 1 search.
     equalizers.beta_star.cache_clear()
     equalizers.xi_corona_structured.cache_clear()
     for argv in (
@@ -283,6 +283,7 @@ def test_commands_share_one_corona_search_per_copy_order(capsys, fish_file):
         ("xi-corona", fish_file, "--nh", "1"),
         ("xi-corona", fish_file, "--nh", "1", "--budget", "6"),
         ("k-threshold", fish_file, "--sweep", "1..1"),
+        ("k-threshold", fish_file, "--sweep", "1..1", "--budget", "8"),
         ("bounds", fish_file, "--nh", "1"),
     ):
         assert run(capsys, *argv)[0] == 0

@@ -330,7 +330,9 @@ class TestXiCoronaStructured:
         # Ĝ of C_14 is K_{7,7}; the stream's first cover has t(U) = 0, so
         # the search stops there without reading β(Ĝ).
         g = cycle_graph(14)
-        result = xi_corona_structured.__wrapped__(g, 2)
+        # The fresh graph equals cached C_14 bases, so the cache is cleared.
+        xi_corona_structured.cache_clear()
+        result = xi_corona_structured(g, 2)
         assert result.value == 7 * 2 + 7
         assert "ghat_beta" not in g.__dict__
 
@@ -338,7 +340,8 @@ class TestXiCoronaStructured:
         # The corona tables come from their own BFS pass, which also
         # rejects a disconnected graph, so neither of these is built.
         g = cycle_graph(14)
-        xi_corona_structured.__wrapped__(g, 2)
+        xi_corona_structured.cache_clear()
+        xi_corona_structured(g, 2)
         assert "_distance_layers" not in g.__dict__
         assert "is_connected" not in g.__dict__
 
@@ -450,6 +453,24 @@ class TestConnectivityPrecondition:
         assert "_distance_layers" not in g.__dict__
 
 
+#: Every public call that reads a vertex set through ``Graph.mask``.
+VERTEX_SET_CALLS = {
+    "is_distance_equalizer": is_distance_equalizer,
+    "mandatory_set": mandatory_set,
+    "forward_equalized": lambda g, s: forward_equalized(
+        g, ForwardPair(frozenset(s), frozenset(range(g.n)))
+    ),
+    "is_vertex_cover": is_vertex_cover,
+}
+
+
+@pytest.mark.parametrize("call", VERTEX_SET_CALLS.values(), ids=VERTEX_SET_CALLS)
+@pytest.mark.parametrize("member", [1.5, "a", None, True])
+def test_non_integer_vertex_rejected(fish, call, member):
+    with pytest.raises(GraphError, match="is not an integer"):
+        call(fish, [member])
+
+
 class TestCopyOrder:
     def test_rejected_bool_order_leaves_the_cache_clean(self):
         # A base no other test uses, so the first call here is a miss.
@@ -467,6 +488,28 @@ class TestCopyOrder:
         assert g.__dict__.keys() <= {"n", "edges", "labels", "adjacency_bits"}
         with pytest.raises(GraphError, match="copy order must be a positive integer"):
             closed_formula(FamilySpec("cycle", (6,)), n_h)
+
+
+class TestCoronaCache:
+    @pytest.mark.parametrize("n_h", [True, 1.0, 2.0])
+    def test_copy_order_checked_on_a_cache_hit(self, fish, n_h):
+        # True == 1.0 == 1 and 2.0 == 2 share the cache keys of the ints.
+        xi_corona_structured(fish, 1)
+        xi_corona_structured(fish, 2)
+        with pytest.raises(GraphError, match="copy order must be a positive integer"):
+            xi_corona_structured(fish, n_h)
+
+    def test_one_search_whatever_the_budget_argument(self, fish):
+        xi_corona_structured.cache_clear()
+        xi_corona_structured(fish, 2)
+        xi_corona_structured(fish, 2, None)
+        xi_corona_structured(fish, 2, max_order=fish.n)
+        assert xi_corona_structured.cache_info().misses == 1
+
+    def test_budget_checked_on_a_cache_hit(self, fish):
+        xi_corona_structured(fish, 2)
+        with pytest.raises(BudgetError, match=f"cap {fish.n - 1}"):
+            xi_corona_structured(fish, 2, max_order=fish.n - 1)
 
 
 class TestXiCoronaOracle:
