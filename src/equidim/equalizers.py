@@ -28,8 +28,8 @@ from .graphs import Graph, _bits, corona
 MAX_BRUTE_ORDER = 18
 #: Order cap for the explicit corona product accepted by the oracle.
 MAX_ORACLE_ORDER = 14
-#: Default order cap for the forward-overlap minimization, which may have to
-#: visit every vertex cover of the empty bisector graph.
+#: Default order cap for the forward-overlap minimization, which may visit
+#: every vertex cover of Ĝ with fewer than α(Ĝ) + β* vertices.
 MAX_BETA_STAR_ORDER = 16
 
 #: Sentinel value of the total variant when no finite set exists.
@@ -255,10 +255,12 @@ def _best_split(g: Graph, n_h: int) -> tuple[int, int, int]:
     stream in nondecreasing size, so the first optimum found realizes the
     tie-break (smallest |U|, then lexicographic U, then lexicographic L).
 
-    A split costs its base ``n + |U| * (n_h - 1)`` plus t(U), and the base
-    never falls along the stream.  So the search stops at the first
-    improving split with t(U) = 0, which costs its base: no later split is
-    cheaper.
+    L is itself a cover, so |L| >= β(Ĝ), the size of the first cover
+    streamed, and t(U) >= |U| - α(Ĝ).  A split therefore costs at least its
+    floor ``|U| * n_h + (n - |U|) + max(0, |U| - α)``, which never falls
+    along the stream.  So the search stops before a split whose floor is at
+    least the best cost, and right after an improving split that costs its
+    floor: no later split is cheaper.
     """
     n = g.n
     adj = g.ghat_rows
@@ -267,21 +269,19 @@ def _best_split(g: Graph, n_h: int) -> tuple[int, int, int]:
 
     best: tuple[int, int, int] | None = None
     for size, umask in covers.iter_cover_masks(adj, n):
+        if best is None:
+            alpha = n - size
         base = size * n_h + (n - size)
-        if best is not None and base >= best[0]:
+        floor = base + max(0, size - alpha)
+        if best is not None and floor >= best[0]:
             break
         outside = full & ~umask
         mandatory = _mandatory(fw, umask, outside)
-        active = umask & ~mandatory
-        # With U = V nothing is mandatory and the subproblem is Ĝ itself.
-        t = mandatory.bit_count() + (
-            g.ghat_beta if active == full else covers.min_cover_size(adj, active)
-        )
+        t = mandatory.bit_count() + covers.min_cover_size(adj, umask & ~mandatory)
         cost = base + t
         if best is None or cost < best[0]:
-            tmask = covers.lexmin_cover(adj, umask, mandatory, t)
-            best = (cost, umask, outside | tmask)
-            if t == 0:
+            best = (cost, umask, outside | covers.lexmin_cover(adj, umask, mandatory, t))
+            if cost == floor:
                 break
     assert best is not None, "the pair (any cover, all vertices) is always valid"
     return best
@@ -339,12 +339,20 @@ def beta_star(g: Graph, max_order: int | None = None) -> covers.CoverResult:
     The overlap of a split is t(U), so this is the corona result at
     ``n_h = 1``, whose value is n + t(U): the overlap is that value minus
     n, with U & L as witness and (U, L) as the pair.  It may visit every
-    cover, hence the tighter default budget.
+    cover below its floor, hence the tighter default budget.
     """
     check_budget(g.n, max_order, MAX_BETA_STAR_ORDER)
     result = xi_corona_structured(g, 1)
     upper, lower = result.decomposition
     return covers.CoverResult(result.value - g.n, upper & lower, result.decomposition)
+
+
+def ghat_stats(g: Graph, max_order: int | None = None) -> tuple[int, int]:
+    """Cover and independence numbers β(Ĝ) and α(Ĝ) = n - β(Ĝ) of the empty
+    bisector graph, once the order passes the exact-cover cap."""
+    check_budget(g.n, max_order, covers.MAX_EXACT_ORDER)
+    beta = g.ghat_beta  # rejects a disconnected graph
+    return beta, g.n - beta
 
 
 def k_threshold(g: Graph, max_order: int | None = None) -> ThresholdLine:
@@ -355,9 +363,7 @@ def k_threshold(g: Graph, max_order: int | None = None) -> ThresholdLine:
     the independence number of the empty bisector graph is used instead,
     which is always at least the exact threshold.
     """
-    check_budget(g.n, max_order, covers.MAX_EXACT_ORDER)
-    beta = g.ghat_beta  # rejects a disconnected graph
-    alpha = g.n - beta
+    beta, alpha = ghat_stats(g, max_order)
     overlap = 0
     try:
         bstar = beta_star(g)

@@ -241,8 +241,8 @@ class Graph:
 
     @cached_property
     def ghat_beta(self) -> int:
-        """The vertex cover number β(Ĝ), which every corona computation on
-        this graph reads.  Connected graphs only."""
+        """The vertex cover number β(Ĝ), read through
+        :func:`equalizers.ghat_stats`, which checks the order cap first."""
         from . import covers  # covers imports this module
 
         return covers.min_cover_size(self.ghat_rows, (1 << self.n) - 1)

@@ -91,7 +91,7 @@ def suite_table1(seed: int = 0) -> SuiteReport:
     for copy orders one to three."""
     rec = _Recorder()
     g = generate(FamilySpec("fish"))
-    beta, alpha = theory.ghat_stats(g)
+    beta, alpha = equalizers.ghat_stats(g)
     ghat = empty_bisector_graph(g).graph
     overlap = equalizers.beta_star(g).value
     u1 = frozenset({g.index_of(4)})
@@ -186,7 +186,7 @@ def suite_bounds(seed: int = 0) -> SuiteReport:
     corpus for copy orders one to five."""
     rec = _Recorder()
     chorded = generate(FamilySpec("chorded-path"))
-    beta, alpha = theory.ghat_stats(chorded)
+    beta, alpha = equalizers.ghat_stats(chorded)
     rec.expect("chorded-path/beta-alpha", (beta, alpha), (4, 3), **_blob(chorded))
     rec.expect(
         "chorded-path/overlap", equalizers.beta_star(chorded).value, 1, **_blob(chorded)
@@ -341,7 +341,7 @@ def suite_g_vs_ghat(seed: int = 0) -> SuiteReport:
     rec = _Recorder()
     for idx, g in enumerate(theory.seeded_corpus(seed)):
         tag = f"corpus[{idx:02d}]"
-        beta, alpha = theory.ghat_stats(g)
+        beta, alpha = equalizers.ghat_stats(g)
         ghat = empty_bisector_graph(g).graph
         profile = degree_profile(g)
         xi = equalizers.xi_bruteforce(g).value if g.n <= 14 else None

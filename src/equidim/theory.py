@@ -11,8 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from . import covers, equalizers
-from .errors import BudgetError, GraphError, check_budget, check_copy_order
+from . import equalizers
+from .errors import BudgetError, GraphError, check_copy_order
 from .families import FamilySpec, _check
 from .graphs import Graph, degree_profile
 
@@ -63,17 +63,10 @@ class Ecc2Report:
     exact: int | None
 
 
-def ghat_stats(g: Graph) -> tuple[int, int]:
-    """Cover and independence numbers of the empty bisector graph."""
-    check_budget(g.n, None, covers.MAX_EXACT_ORDER)
-    beta = g.ghat_beta
-    return beta, g.n - beta
-
-
 def bounds_report(g: Graph, n_h: int) -> BoundsReport:
     """Every general bound plus the exact structured value."""
     check_copy_order(n_h)
-    beta, alpha = ghat_stats(g)
+    beta, alpha = equalizers.ghat_stats(g)
     floor = g.n
     lower_weak = beta * n_h + alpha
     try:
@@ -174,7 +167,7 @@ def closed_formula(spec: FamilySpec, n_h: int) -> FormulaValue:
 def xi_equals_order_characterization(g: Graph, n_h: int) -> tuple[bool, str]:
     """Whether the corona dimension collapses to the base order, decided
     from the empty bisector graph alone."""
-    beta, _ = ghat_stats(g)
+    beta, _ = equalizers.ghat_stats(g)
     if beta == 0:
         return True, "empty bisector graph has no edges"
     if n_h == 1 and equalizers.beta_star(g).value == 0:
@@ -226,7 +219,7 @@ def eccentricity2_case(g: Graph, n_h: int) -> Ecc2Report | None:
     if not qualifying:
         return None
     upper = min((g.n - profile.degrees[v]) * n_h + profile.degrees[v] for v in qualifying)
-    _, alpha = ghat_stats(g)
+    _, alpha = equalizers.ghat_stats(g)
     exact = None
     if any(profile.degrees[v] == alpha for v in qualifying):
         exact = (g.n - alpha) * n_h + alpha
@@ -245,9 +238,16 @@ def universal_vertex_formula(g: Graph, n_h: int) -> int:
 
 # -- seeded random corpus -------------------------------------------------------
 
+#: Sampling parameters: the samplers' resampling limit, the corpus's least
+#: order and edge probabilities, and the bipartite cross-edge probability.
+MAX_TRIES = 10000
+CORPUS_MIN_ORDER = 4
+CORPUS_DENSITIES = (0.3, 0.5, 0.7)
+BIPARTITE_P = 0.6
+
 
 def random_connected_graph(
-    rng: random.Random, n: int, p: float, max_tries: int = 10000
+    rng: random.Random, n: int, p: float, max_tries: int = MAX_TRIES
 ) -> Graph:
     """One connected sample: edge probability ``p``, resampled on disconnect."""
     if n < 1:
@@ -262,41 +262,33 @@ def random_connected_graph(
     raise GraphError(f"no connected sample after {max_tries} tries (n={n}, p={p})")
 
 
-def seeded_corpus(
-    seed: int,
-    count: int = 50,
-    min_n: int = 4,
-    max_n: int = 10,
-    densities: tuple[float, ...] = (0.3, 0.5, 0.7),
-) -> list[Graph]:
+def seeded_corpus(seed: int, count: int = 50, max_n: int = 10) -> list[Graph]:
     """Deterministic list of connected random graphs at mixed densities."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        n = rng.randint(min_n, max_n)
-        p = rng.choice(densities)
+        n = rng.randint(CORPUS_MIN_ORDER, max_n)
+        p = rng.choice(CORPUS_DENSITIES)
         out.append(random_connected_graph(rng, n, p))
     return out
 
 
-def random_connected_bipartite(
-    rng: random.Random, n: int, p: float = 0.6, max_tries: int = 10000
-) -> Graph:
+def random_connected_bipartite(rng: random.Random, n: int) -> Graph:
     """One connected bipartite sample: cross edges only, resampled on
     disconnect.  For n = 1 this is the single vertex."""
     if n < 1:
         raise GraphError(f"order must be positive, got {n}")
     if n == 1:
         return Graph(1)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         r = rng.randint(1, n - 1)
         edges = [
-            (u, v) for u in range(r) for v in range(r, n) if rng.random() < p
+            (u, v) for u in range(r) for v in range(r, n) if rng.random() < BIPARTITE_P
         ]
         g = Graph(n, edges)
         if g.is_connected:
             return g
-    raise GraphError(f"no connected bipartite sample after {max_tries} tries (n={n})")
+    raise GraphError(f"no connected bipartite sample after {MAX_TRIES} tries (n={n})")
 
 
 def all_connected_graphs(n: int) -> list[Graph]:

@@ -194,12 +194,13 @@ def xi_total(n, edges):
 
 
 def forward_equalized(n, edges, x, y):
-    dist = floyd_warshall(n, edges)
-    return all(
-        any(dist[w][u] == dist[w][v] + 1 for w in range(n))
-        for u in set(x) - set(y)
-        for v in set(y) - set(x)
-    )
+    return _step_ahead(floyd_warshall(n, edges), set(x) - set(y), set(y) - set(x))
+
+
+def _step_ahead(dist, xs, ys):
+    """Every (u, v) in ``xs`` x ``ys`` has a w with d(w, u) = d(w, v) + 1."""
+    n = len(dist)
+    return all(any(dist[w][u] == dist[w][v] + 1 for w in range(n)) for u in xs for v in ys)
 
 
 def corona_edges(ng, g_edges, nh, h_edges):
@@ -213,27 +214,45 @@ def corona_edges(ng, g_edges, nh, h_edges):
     return ng * (1 + nh), edges
 
 
+@lru_cache(maxsize=1)
+def corona_pairs(n, edges):
+    """Every pair (U, L) of covers of the empty bisector graph, as bitmasks,
+    with U | L the whole vertex set and (U, L) forward-equalized; U in
+    size-then-lexicographic order, and L in that order for each U.  One
+    entry, so the copy orders of one graph share the scan."""
+    dist = floyd_warshall(n, edges)
+    ghat = [
+        1 << u | 1 << v
+        for u in range(n)
+        for v in range(u + 1, n)
+        if not bisector_set(dist, u, v)
+    ]
+    covers = [m for m in _subsets_in_scan_order(tuple(range(n))) if all(e & m for e in ghat)]
+    full = (1 << n) - 1
+
+    def members(mask):
+        return [v for v in range(n) if mask >> v & 1]
+
+    return [
+        (x, y)
+        for x in covers
+        for y in covers
+        if x | y == full and _step_ahead(dist, members(x & ~y), members(y & ~x))
+    ]
+
+
+def corona_split(n, edges, n_h):
+    """``(cost, U, L)``: the first pair of :func:`corona_pairs` minimizing
+    ``|U| * n_h + |L|``."""
+    pairs = corona_pairs(n, tuple(edges))
+    x, y = min(pairs, key=lambda p: p[0].bit_count() * n_h + p[1].bit_count())
+    return x.bit_count() * n_h + y.bit_count(), x, y
+
+
 def beta_star(n, edges):
-    """Minimum cover-pair overlap by scanning all pairs of covers of the
-    empty bisector graph; only usable for small orders."""
-    ghat = empty_bisector_edges(n, edges)
-    all_covers = []
-    for mask in range(1 << n):
-        chosen = {v for v in range(n) if mask >> v & 1}
-        if all(u in chosen or v in chosen for u, v in ghat):
-            all_covers.append(chosen)
-    full = set(range(n))
-    best = None
-    for x in all_covers:
-        for y in all_covers:
-            if x | y != full:
-                continue
-            if not forward_equalized(n, edges, x, y):
-                continue
-            overlap = len(x & y)
-            if best is None or overlap < best:
-                best = overlap
-    return best
+    """Minimum overlap |U & L| over the pairs of :func:`corona_pairs`; only
+    usable for small orders."""
+    return min((x & y).bit_count() for x, y in corona_pairs(n, tuple(edges)))
 
 
 def forward_and_ghat_from_layers(n, layers):

@@ -298,6 +298,16 @@ class TestMandatorySet:
         assert mandatory_set(fish, frozenset(range(fish.n))) == frozenset()
 
 
+class TestBestSplit:
+    def test_matches_pair_scan_oracle(self):
+        # Every connected labelled graph of order at most 5, 772 in all.
+        for n in range(1, 6):
+            for g in all_connected_graphs(n):
+                for n_h in (1, 2, 3):
+                    want = oracles.corona_split(g.n, g.edges, n_h)
+                    assert equalizers._best_split(g, n_h) == want, (g.edges, n_h)
+
+
 class TestXiCoronaStructured:
     def test_fish_nh2(self, fish):
         assert xi_corona_structured(fish, 2).value == 8
@@ -335,6 +345,25 @@ class TestXiCoronaStructured:
         result = xi_corona_structured(g, 2)
         assert result.value == 7 * 2 + 7
         assert "ghat_beta" not in g.__dict__
+
+    @pytest.mark.parametrize("n_h", [1, 2, 3])
+    def test_cold_request_pulls_one_cover(self, monkeypatch, n_h):
+        # The first cover's split costs its floor, so the search stops
+        # there; the stream's next cover is never pulled.
+        from equidim import covers
+
+        stream = covers.iter_cover_masks
+        pulled = []
+
+        def counted(*args):
+            for item in stream(*args):
+                pulled.append(item)
+                yield item
+
+        monkeypatch.setattr(covers, "iter_cover_masks", counted)
+        xi_corona_structured.cache_clear()
+        xi_corona_structured(chorded_path_graph(), n_h)
+        assert len(pulled) == 1
 
     def test_cold_request_builds_no_layers_and_no_connectivity_flag(self):
         # The corona tables come from their own BFS pass, which also
