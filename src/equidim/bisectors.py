@@ -16,16 +16,14 @@ from .graphs import Graph, _bits
 
 
 def bisector(g: Graph, u: int, v: int) -> frozenset[int]:
-    """All vertices ``w`` with ``d(w, u) == d(w, v)``; requires ``u != v``."""
-    # One BFS, before the n BFS runs of the distances.
-    if not g.is_connected:
+    """All vertices ``w`` with ``d(w, u) == d(w, v)``; requires ``u != v``.
+    Three BFS runs: the connectivity check, then the rows of u and v."""
+    if not g.is_connected:  # before the arguments, so this error wins
         raise GraphError("operation requires a connected graph")
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise GraphError(f"vertices {u}, {v} outside 0..{g.n - 1}")
+    g.mask((u, v))  # rejects a non-int (bool included) or out-of-range vertex
     if u == v:
         raise GraphError("bisector is defined for distinct vertices only")
-    dist = g.distances
-    return frozenset(w for w in range(g.n) if dist[w][u] == dist[w][v])
+    return frozenset(_bits(g.bisector_mask(u, v)))
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ Graph arguments are edge-list files; ``-`` reads standard input, so
 generator output pipes straight into the solvers.  Every graph subcommand
 offers ``--json`` with canonical (sorted-key, fixed-separator) serialization;
 identical inputs and seed give byte-identical output.  Exit status: 0 on
-success, 1 on precondition, budget, parse or file errors (one ``error:``
-line on stderr), 2 when a verification suite reports failures.
+success, 1 on precondition, budget, parse, file or output-pipe errors (one
+``error:`` line on stderr), 2 when a verification suite reports failures.
 
 Each subcommand binds its runner with ``set_defaults(run=...)``.  The graph
 subcommands share :func:`_run_graph`, which loads the graph, checks
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from functools import lru_cache
@@ -266,10 +267,17 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on bad usage; fold that into the error status.
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
     except EquidimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # Devnull takes what is left, so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output pipe closed", file=sys.stderr)
+        return 1
+    return code
 
 
 def _parse_range(text: str) -> tuple[int, int]:

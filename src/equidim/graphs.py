@@ -1,14 +1,14 @@
 """Immutable simple graphs with cached per-graph tables, plus the corona
 and join constructions.
 
-Two tables are built per graph, each by a bitset BFS from every vertex.
-The distance layers keep every BFS layer; the all-pairs distances, the pair
-bisector masks and the eccentricities are read off them on first use.  The
-corona tables, the forward masks and the adjacency rows of the empty
-bisector graph Ĝ, come from one BFS pass of their own that keeps no layers;
-β(Ĝ) is read off the rows.  Each table that needs a connected graph rejects
-a disconnected one from its own BFS; ``is_connected``, one BFS from vertex
-0, serves the operations that read neither table first.
+Three tables are built per graph, each by a bitset BFS from every vertex:
+the packed rows, which hold a vertex's BFS layers in one int, layer d in the
+d-th W-bit chunk (W = 8·⌈n/8⌉), so a pair's bisector mask is one AND and one
+modulo 2^W − 1; the all-pairs distances, also read for eccentricities; and
+the corona tables, the forward masks and the rows of the empty bisector
+graph Ĝ, off which β(Ĝ) is read.  A table that needs a connected graph
+rejects a disconnected one from its own BFS; ``is_connected``, one BFS from
+vertex 0, serves the operations that read no such table first.
 
 Vertices are always the integers ``0 .. n-1`` internally.  A graph may carry
 external vertex labels (for instance the 1-indexed names used in input
@@ -111,45 +111,57 @@ class Graph:
 
     # -- cached global structure --------------------------------------------
 
-    def _bfs_layers(self, source: int) -> tuple[int, ...]:
-        # Bitmasks of the vertices at distance 0, 1, 2, ... from source;
-        # an unreachable vertex lies in no layer.
+    def _bfs_row(self, source: int) -> int:
+        # The BFS layers of source packed into one int: layer d sits in bits
+        # [dW, (d+1)W), W = 8*ceil(n/8).  Joining the bytes of the layers
+        # takes time linear in the row; shifting each one in is quadratic.
         adj = self.adjacency_bits
+        width = (self.n + 7) // 8
         seen = frontier = 1 << source
-        layers = [frontier]
-        while True:
+        chunks = []
+        while frontier:
+            chunks.append(frontier.to_bytes(width, "little"))
             reach = 0
             while frontier:
                 low = frontier & -frontier
                 reach |= adj[low.bit_length() - 1]
                 frontier ^= low
             frontier = reach & ~seen
-            if not frontier:
-                return tuple(layers)
             seen |= frontier
-            layers.append(frontier)
+        return int.from_bytes(b"".join(chunks), "little")
+
+    @property
+    def _fold(self) -> int:
+        # 2^W - 1, with 2^W = 1 modulo it: ``row % fold`` sums a row's chunks.
+        return (1 << 8 * ((self.n + 7) // 8)) - 1
 
     @cached_property
-    def _distance_layers(self) -> tuple[tuple[int, ...], ...]:
-        # layers[u][d] is the bitmask of the vertices at distance d from u;
-        # the distances, bisector masks and eccentricities are read off these.
-        return tuple(self._bfs_layers(u) for u in range(self.n))
+    def _distance_layers(self) -> tuple[int, ...]:
+        # The packed BFS row of every vertex, read by the bisector masks.
+        return tuple(self._bfs_row(u) for u in range(self.n))
 
     @cached_property
     def distances(self) -> tuple[tuple[int | float, ...], ...]:
-        """All-pairs shortest path lengths, read off the distance layers.
-
-        Entries for unreachable pairs are :data:`INFINITY`.  Computed once
-        and cached; only distance queries read it, since the bisector masks
-        come from the layers directly and the forward and Ĝ tables from
-        their own BFS pass.
-        """
+        """All-pairs shortest path lengths, :data:`INFINITY` for unreachable
+        pairs, from a bitset BFS per source that writes each vertex's
+        distance as it pops the vertex and keeps no layers."""
+        adj = self.adjacency_bits
         rows = []
-        for layers in self._distance_layers:
+        for source in range(self.n):
             row: list[int | float] = [INFINITY] * self.n
-            for d, layer in enumerate(layers):
-                for w in _bits(layer):
-                    row[w] = d
+            seen = frontier = 1 << source
+            d = 0
+            while frontier:
+                reach = 0
+                while frontier:
+                    low = frontier & -frontier
+                    x = low.bit_length() - 1
+                    row[x] = d
+                    reach |= adj[x]
+                    frontier ^= low
+                frontier = reach & ~seen
+                seen |= frontier
+                d += 1
             rows.append(tuple(row))
         return tuple(rows)
 
@@ -159,8 +171,8 @@ class Graph:
     @cached_property
     def is_connected(self) -> bool:
         """True iff one BFS from vertex 0 reaches every vertex."""
-        # The layers are disjoint, so their sum is their union.
-        return sum(self._bfs_layers(0)) == (1 << self.n) - 1
+        # The layers are disjoint, so the row holds each reached vertex once.
+        return self._bfs_row(0).bit_count() == self.n
 
     def mask(self, vertices: Iterable[int]) -> int:
         """Bitmask of a vertex set; rejects anything but ints in ``0..n-1``."""
@@ -173,23 +185,24 @@ class Graph:
             mask |= 1 << v
         return mask
 
+    def bisector_mask(self, u: int, v: int) -> int:
+        """B(u, v) as a mask from the rows of u and v alone, folded as below."""
+        return (self._bfs_row(u) & self._bfs_row(v)) % self._fold
+
     @cached_property
     def bisector_masks(self) -> tuple[tuple[int, int, int], ...]:
         """``(u, v, mask)`` for every pair u < v, where ``mask`` holds the
-        vertices equidistant from u and v.  Connected graphs only: the
-        layers from vertex 0 must hold every vertex."""
-        layers = self._distance_layers
-        if sum(layers[0]) != (1 << self.n) - 1:
+        vertices equidistant from u and v.  ``row_u & row_v`` keeps the
+        layers that u and v share, and one modulo by 2^W - 1 folds them
+        into the mask; the mask never equals 2^W - 1, since u is not in it.
+        Connected graphs only: the row of vertex 0 must hold every vertex."""
+        rows, n = self._distance_layers, self.n
+        if rows[0].bit_count() != n:
             raise GraphError("operation requires a connected graph")
-        out = []
-        for u in range(self.n):
-            lu = layers[u]
-            for v in range(u + 1, self.n):
-                mask = 0
-                for at_u, at_v in zip(lu, layers[v]):
-                    mask |= at_u & at_v
-                out.append((u, v, mask))
-        return tuple(out)
+        fold = self._fold
+        return tuple(
+            [(u, v, (row & rows[v]) % fold) for u, row in enumerate(rows) for v in range(u + 1, n)]
+        )
 
     @cached_property
     def _forward_and_ghat(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -286,7 +299,7 @@ def degree_profile(g: Graph) -> DegreeProfile:
     if not g.is_connected:
         raise GraphError("degree profile requires a connected graph")
     degrees = tuple(g.degree(v) for v in range(g.n))
-    eccs = tuple(len(layers) - 1 for layers in g._distance_layers)
+    eccs = tuple(max(row) for row in g.distances)
     return DegreeProfile(
         degrees=degrees,
         max_degree=max(degrees),

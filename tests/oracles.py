@@ -6,8 +6,9 @@ subset scans instead of branch and bound, and an explicit corona
 construction instead of the arithmetic layout.
 
 :func:`forward_and_ghat_from_layers` is a reference rather than an oracle:
-the walk over stored BFS distance layers that the package's one-pass
-forward-mask and Ĝ-row BFS replaced, kept to check that pass against.
+the walk over distance layers that the package's one-pass forward-mask and
+Ĝ-row BFS replaced, kept to check that pass against.  It walks the layers
+that :func:`distance_layers` reads off Floyd-Warshall.
 """
 
 from __future__ import annotations
@@ -253,6 +254,18 @@ def beta_star(n, edges):
     """Minimum overlap |U & L| over the pairs of :func:`corona_pairs`; only
     usable for small orders."""
     return min((x & y).bit_count() for x, y in corona_pairs(n, tuple(edges)))
+
+
+def distance_layers(n, edges):
+    """``layers[w][d]``: the bitmask of the vertices at distance d from w,
+    for a connected graph, read off Floyd-Warshall."""
+    layers = []
+    for row in floyd_warshall(n, edges):
+        by_distance = [0] * (max(row) + 1)
+        for x, d in enumerate(row):
+            by_distance[d] |= 1 << x
+        layers.append(by_distance)
+    return layers
 
 
 def forward_and_ghat_from_layers(n, layers):

@@ -47,6 +47,23 @@ class TestBisector:
         with pytest.raises(GraphError, match="connected"):
             bisector(Graph(3, [(0, 1)]), 0, 1)
 
+    @pytest.mark.parametrize("u, v", [(0.0, 2), (True, 2), (0, "1"), (None, 1)])
+    def test_non_integer_vertex_rejected(self, u, v):
+        with pytest.raises(GraphError, match="not an integer"):
+            bisector(path_graph(5), u, v)
+
+    @pytest.mark.parametrize("u, v", [(0, 5), (-1, 2)])
+    def test_out_of_range_vertex_rejected(self, u, v):
+        with pytest.raises(GraphError, match="outside 0..4"):
+            bisector(path_graph(5), u, v)
+
+    def test_large_graph_reads_two_rows_and_no_table(self):
+        g = path_graph(1024)
+        assert bisector(g, 0, 1023) == frozenset()
+        assert bisector(g, 0, 1022) == frozenset({511})
+        assert "distances" not in g.__dict__
+        assert "_distance_layers" not in g.__dict__
+
     @given(connected_graphs(max_n=8))
     @settings(max_examples=40)
     def test_matches_definition(self, g):

@@ -1,12 +1,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import equidim
 from equidim import cli, equalizers
 from equidim.cli import main
 from equidim.families import cycle_graph, fish_graph, path_graph
@@ -246,6 +251,26 @@ def test_gen_order_above_the_input_limit_exit_one(capsys, family, param):
     assert code == 1 and out == ""
     assert err.startswith("error:") and "input limit" in err
     assert err.count("\n") == 1
+
+
+def test_closed_output_pipe_exits_one_with_one_line(tmp_path):
+    # The reader stops after 100 bytes, like ``| head -c 100``, while the
+    # C_512 matrix (about 1 MB) is still being written.
+    graph = tmp_path / "c512.edges"
+    graph.write_text(format_edge_list(cycle_graph(512)))
+    env = dict(os.environ, PYTHONPATH=str(Path(equidim.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "equidim.cli", "dist", str(graph), "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert head.startswith(b'{"labels":[0,1,2,')
+    assert proc.returncode == 1
+    assert err == b"error: output pipe closed\n"
 
 
 def test_budget_violation_exit_one(capsys, tmp_path):

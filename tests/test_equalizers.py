@@ -451,6 +451,7 @@ DISCONNECTED_CALLS = {
     "mandatory_set": lambda g: mandatory_set(g, {9}),
     "xi_corona_oracle": lambda g: xi_corona_oracle(g, empty_graph(1)),
     "bisector": lambda g: bisector(g, 0, 9),
+    "bisector_non_int": lambda g: bisector(g, 0.0, True),
     "empty_bisector_graph": empty_bisector_graph,
     "xi_corona_structured": lambda g: xi_corona_structured(g, 2),
     "k_threshold": k_threshold,

@@ -100,6 +100,12 @@ class TestDistances:
         g = Graph(2, [])
         assert g.distance(0, 1) is INFINITY
 
+    def test_disconnected_graph_keeps_infinity(self):
+        g = Graph(9, [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7)])
+        d = g.distances
+        assert [list(r) for r in d] == oracles.floyd_warshall(g.n, g.edges)
+        assert d[0][3] is INFINITY and d[8][0] is INFINITY and d[7][5] == 2
+
     def test_matches_floyd_warshall_on_random_graphs(self):
         rng = random.Random(411)
         for _ in range(100):
@@ -145,8 +151,11 @@ def _all_labelled_graphs(n):
         yield Graph(n, [e for i, e in enumerate(slots) if pick >> i & 1])
 
 
-def _check_tables(g):
-    """Every per-graph table of ``g`` against its definition-level oracle."""
+def _check_distance_tables(g):
+    """The distances, connectivity, eccentricities and pair bisector masks
+    of ``g`` against Floyd-Warshall; returns its matrix, or None when ``g``
+    is disconnected (every table that needs a connected graph is then
+    checked to reject it)."""
     n = g.n
     dist = oracles.floyd_warshall(n, g.edges)
     assert [list(row) for row in g.distances] == dist
@@ -155,11 +164,20 @@ def _check_tables(g):
         for table in ("bisector_masks", "forward_masks", "ghat_rows"):
             with pytest.raises(GraphError, match="connected"):
                 getattr(g, table)
-        return
+        return None
     assert degree_profile(g).eccentricities == tuple(max(row) for row in dist)
     assert [(u, v, _members(mask, n)) for u, v, mask in g.bisector_masks] == [
         (u, v, oracles.bisector_set(dist, u, v)) for u, v in combinations(range(n), 2)
     ]
+    return dist
+
+
+def _check_tables(g):
+    """Every per-graph table of ``g`` against its definition-level oracle."""
+    n = g.n
+    dist = _check_distance_tables(g)
+    if dist is None:
+        return
     assert [_members(mask, n) for mask in g.forward_masks] == [
         {v for v in range(n) if any(dist[w][x] == dist[w][v] + 1 for w in range(n))}
         for x in range(n)
@@ -180,6 +198,22 @@ class TestPerGraphTables:
     @settings(max_examples=60, deadline=None)
     def test_connected_graphs_of_order_six_to_twenty(self, g):
         _check_tables(g)
+
+    # A packed BFS row gives each layer W = 8 * ceil(n / 8) bits, so n = 8k
+    # fills every chunk of the row and n = 8k + 1 opens a byte more.
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 17, 24, 25])
+    def test_every_chunk_width_edge(self, n):
+        rng = random.Random(n)
+        graphs = [path_graph(n), complete_graph(n), random_graph(rng, n, 0.2)]
+        if n >= 3:
+            graphs.append(cycle_graph(n))
+        for g in graphs:
+            _check_tables(g)
+
+    @pytest.mark.parametrize("n", [64, 100, 130])
+    @pytest.mark.parametrize("family", [path_graph, cycle_graph], ids=["P", "C"])
+    def test_long_rows(self, family, n):
+        assert _check_distance_tables(family(n)) is not None
 
     # Frozen from the distance-matrix tables, recorded before the layers.
     # On these bipartite graphs Ĝ joins the colour classes completely and
@@ -209,15 +243,16 @@ LADDER_POOL = Path(__file__).parents[1] / "perfbench" / "data" / "ladder_pool.js
 
 
 def _check_against_layer_walk(g):
-    # The layers are checked against Floyd-Warshall in ``_check_tables``.
-    fw, rows = oracles.forward_and_ghat_from_layers(g.n, g._distance_layers)
+    layers = oracles.distance_layers(g.n, g.edges)
+    fw, rows = oracles.forward_and_ghat_from_layers(g.n, layers)
     assert g.forward_masks == fw
     assert g.ghat_rows == rows
 
 
 class TestOnePassCoronaTables:
     """The forward masks and Ĝ rows come from a BFS pass of their own; the
-    walk over the distance layers is their reference."""
+    walk over the distance layers read off Floyd-Warshall is their
+    reference."""
 
     def test_every_connected_labelled_graph_up_to_order_six(self):
         for n in range(1, 7):
