@@ -35,7 +35,6 @@ from .families import FamilySpec, generate
 from .fileio import format_edge_list, parse_edge_list, to_dot
 from .graphs import (
     INFINITY,
-    CoronaGraph,
     DegreeProfile,
     Graph,
     corona,
@@ -59,7 +58,6 @@ from .theory import (
 __all__ = [
     "BoundsReport",
     "BudgetError",
-    "CoronaGraph",
     "CoverResult",
     "DegreeProfile",
     "Ecc2Report",

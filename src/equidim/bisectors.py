@@ -31,11 +31,10 @@ class EmptyBisectorGraph:
     """The empty bisector graph of a source graph, on the same vertex set."""
 
     graph: Graph
-    source_order: int
 
 
 def empty_bisector_graph(g: Graph) -> EmptyBisectorGraph:
     """Graph on V(g) whose edges are exactly the pairs with empty bisector,
     read off the graph's cached Ĝ adjacency rows."""
     edges = [(u, v) for u, row in enumerate(g.ghat_rows) for v in _bits(row) if u < v]
-    return EmptyBisectorGraph(Graph(g.n, edges, labels=g.labels), g.n)
+    return EmptyBisectorGraph(Graph(g.n, edges, labels=g.labels))

@@ -1,5 +1,5 @@
 """Immutable simple graphs with cached per-graph tables, plus the corona
-and join constructions.
+product and the join, each built as a plain :class:`Graph`.
 
 Three tables are built per graph, each by a bitset BFS from every vertex:
 the packed rows, which hold a vertex's BFS layers in one int, layer d in the
@@ -68,7 +68,11 @@ class Graph:
             labels = tuple(labels)
             if len(labels) != n:
                 raise GraphError(f"expected {n} labels, got {len(labels)}")
-            if len(set(labels)) != n:
+            try:
+                distinct = len(set(labels)) == n
+            except TypeError:
+                raise GraphError("vertex labels must be hashable") from None
+            if not distinct:
                 raise GraphError("vertex labels must be distinct")
         self.n = n
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(seen))
@@ -100,14 +104,13 @@ class Graph:
         return self.labels[v] if self.labels is not None else v
 
     def index_of(self, label: Hashable) -> int:
-        if self.labels is None:
-            if isinstance(label, int) and 0 <= label < self.n:
-                return label
+        """The vertex labelled ``label``, matched in type too: ``True`` and
+        ``1.0`` never name the vertex labelled ``1``."""
+        labels = self.labels if self.labels is not None else range(self.n)
+        v = labels.index(label) if label in labels else None
+        if v is None or type(labels[v]) is not type(label):
             raise GraphError(f"unknown vertex label {label!r}")
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise GraphError(f"unknown vertex label {label!r}") from None
+        return v
 
     # -- cached global structure --------------------------------------------
 
@@ -310,51 +313,18 @@ def degree_profile(g: Graph) -> DegreeProfile:
     )
 
 
-class CoronaGraph:
-    """Corona product: the base graph plus one copy of ``copy`` per base
-    vertex, each copy joined completely to its base vertex.
-
-    Layout is pure arithmetic: base vertex ``i`` sits at product index ``i``
-    and vertex ``j`` of the i-th copy at ``n(base) + i * n(copy) + j``.
-    """
-
-    def __init__(self, base: Graph, copy: Graph):
-        ng, nh = base.n, copy.n
-        edges: list[tuple[int, int]] = list(base.edges)
-        for i in range(ng):
-            off = ng + i * nh
-            edges.extend((off + a, off + b) for a, b in copy.edges)
-            edges.extend((i, off + j) for j in range(nh))
-        self.base = base
-        self.copy = copy
-        self.product = Graph(ng * (1 + nh), edges)
-
-    def copy_vertex(self, i: int, j: int) -> int:
-        return self.base.n + i * self.copy.n + j
-
-    def kind(self, v: int) -> tuple:
-        """Classify a product vertex as ``("base", i)`` or ``("copy", i, j)``."""
-        ng, nh = self.base.n, self.copy.n
-        if not 0 <= v < self.product.n:
-            raise GraphError(f"vertex {v} outside the corona product")
-        if v < ng:
-            return ("base", v)
-        i, j = divmod(v - ng, nh)
-        return ("copy", i, j)
-
-    def lower_projection(self, s: Iterable[int]) -> frozenset[int]:
-        """Base vertices of the product that belong to ``s``."""
-        return frozenset(v for v in s if v < self.base.n)
-
-    def upper_projection(self, s: Iterable[int]) -> frozenset[int]:
-        """Base vertices whose attached copy meets ``s``."""
-        ng, nh = self.base.n, self.copy.n
-        return frozenset((v - ng) // nh for v in s if v >= ng)
-
-
-def corona(g: Graph, h: Graph) -> CoronaGraph:
-    """Corona product of ``g`` and ``h``."""
-    return CoronaGraph(g, h)
+def corona(g: Graph, h: Graph) -> Graph:
+    """Corona product: ``g`` plus one copy of ``h`` per vertex, joined
+    completely to it.  The one statement of the layout, which every corona
+    witness uses: base vertex ``i`` keeps index ``i``, and vertex ``j`` of
+    the i-th copy is ``n(g) + i * n(h) + j``."""
+    ng, nh = g.n, h.n
+    edges: list[tuple[int, int]] = list(g.edges)
+    for i in range(ng):
+        off = ng + i * nh
+        edges.extend((off + a, off + b) for a, b in h.edges)
+        edges.extend((i, off + j) for j in range(nh))
+    return Graph(ng * (1 + nh), edges)
 
 
 def join(g1: Graph, g2: Graph) -> Graph:

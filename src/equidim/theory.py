@@ -167,6 +167,7 @@ def closed_formula(spec: FamilySpec, n_h: int) -> FormulaValue:
 def xi_equals_order_characterization(g: Graph, n_h: int) -> tuple[bool, str]:
     """Whether the corona dimension collapses to the base order, decided
     from the empty bisector graph alone."""
+    check_copy_order(n_h)
     beta, _ = equalizers.ghat_stats(g)
     if beta == 0:
         return True, "empty bisector graph has no edges"
@@ -198,6 +199,7 @@ def two_coloring(g: Graph) -> tuple[frozenset[int], frozenset[int]]:
 def bipartite_formula(g: Graph, n_h: int) -> int:
     """Corona dimension of a connected bipartite base graph: the smaller
     part buys full copies, the larger part is taken whole."""
+    check_copy_order(n_h)
     big, small = two_coloring(g)
     return len(small) * n_h + len(big)
 
@@ -205,6 +207,7 @@ def bipartite_formula(g: Graph, n_h: int) -> int:
 def join_formula(g1: Graph, g2: Graph, n_h: int) -> int:
     """Corona dimension over a join base: simply the total order, provided
     at least one side has no isolated vertices."""
+    check_copy_order(n_h)
     if min(g1.degree(v) for v in range(g1.n)) == 0 and (
         min(g2.degree(v) for v in range(g2.n)) == 0
     ):
@@ -214,6 +217,7 @@ def join_formula(g1: Graph, g2: Graph, n_h: int) -> int:
 
 def eccentricity2_case(g: Graph, n_h: int) -> Ecc2Report | None:
     """Bound from a vertex seeing everything within distance two, if any."""
+    check_copy_order(n_h)
     profile = degree_profile(g)
     qualifying = [v for v in range(g.n) if profile.eccentricities[v] <= 2]
     if not qualifying:
@@ -228,6 +232,7 @@ def eccentricity2_case(g: Graph, n_h: int) -> Ecc2Report | None:
 
 def universal_vertex_formula(g: Graph, n_h: int) -> int:
     """Corona dimension when the base graph has a universal vertex."""
+    check_copy_order(n_h)
     profile = degree_profile(g)
     if g.n < 2 or profile.max_degree != g.n - 1:
         raise GraphError("formula needs a universal vertex in a graph of order >= 2")

@@ -84,13 +84,12 @@ class TestEmptyBisectorGraph:
         assert {frozenset(e) for e in ghat.edges} == want
 
     def test_k5_corona_gives_perfect_matching(self):
-        product = corona(complete_graph(5), empty_graph(1)).product
+        product = corona(complete_graph(5), empty_graph(1))
         ghat = empty_bisector_graph(product).graph
         assert set(ghat.edges) == {(i, i + 5) for i in range(5)}
 
     def test_source_order_recorded(self, fish):
-        result = empty_bisector_graph(fish)
-        assert result.source_order == fish.n == result.graph.n
+        assert empty_bisector_graph(fish).graph.n == fish.n
 
     def test_labels_preserved(self, fish):
         assert empty_bisector_graph(fish).graph.labels == fish.labels

@@ -13,21 +13,26 @@ from equidim import (
     Graph,
     GraphError,
     beta_star,
+    bipartite_formula,
     bisector,
     bounds_report,
     closed_formula,
     corona,
+    eccentricity2_case,
     empty_bisector_graph,
     forward_equalized,
     generate,
     is_distance_equalizer,
     is_vertex_cover,
+    join_formula,
     k_threshold,
     mandatory_set,
+    universal_vertex_formula,
     vertex_cover_number,
     xi_bruteforce,
     xi_corona_oracle,
     xi_corona_structured,
+    xi_equals_order_characterization,
     xi_total,
 )
 from equidim import equalizers
@@ -46,11 +51,9 @@ from equidim.theory import all_connected_graphs
 
 class TestIsDistanceEqualizer:
     def test_c3_p2_known_set(self):
-        cg = corona(cycle_graph(3), path_graph(2))
-        # In 1-indexed labels this is {2, 3, 4}: two base vertices plus the
-        # first vertex of the copy over base vertex 0.
-        s = {1, 2, cg.copy_vertex(0, 0)}
-        assert is_distance_equalizer(cg.product, s)
+        # In 1-indexed labels this is {2, 3, 4}: two base vertices plus
+        # vertex 3 = 3 + 0 * 2 + 0, the first vertex of the copy over 0.
+        assert is_distance_equalizer(corona(cycle_graph(3), path_graph(2)), {1, 2, 3})
 
     def test_full_vertex_set_vacuous(self, fish):
         assert is_distance_equalizer(fish, set(range(fish.n)))
@@ -409,12 +412,19 @@ class TestXiCoronaStructured:
         assert is_vertex_cover(ghat, lower)
         assert forward_equalized(g, ForwardPair(upper, lower))
 
-    def test_witness_lives_in_the_product(self, fish):
-        for n_h in (1, 2):
-            result = xi_corona_structured(fish, n_h)
-            product = corona(fish, empty_graph(n_h)).product
-            assert is_distance_equalizer(product, result.witness)
-            assert len(result.witness) == result.value
+    def test_witness_lives_in_the_product(self):
+        # The witness is written in the layout corona() builds; a minimum
+        # witness stops equalizing without any one of its vertices.
+        for n in range(2, 6):
+            for g in all_connected_graphs(n):
+                for n_h in (1, 2, 3):
+                    result = xi_corona_structured(g, n_h)
+                    product = corona(g, empty_graph(n_h))
+                    witness = result.witness
+                    assert is_distance_equalizer(product, witness)
+                    assert len(witness) == result.value
+                    for v in witness:
+                        assert not is_distance_equalizer(product, witness - {v})
 
 
 CORONA_ENTRY_POINTS = {
@@ -510,11 +520,20 @@ class TestCopyOrder:
         result = xi_corona_structured(g, 1)
         assert type(result.n_h) is int and result.n_h == 1
 
-    @pytest.mark.parametrize("n_h", [0, True, 2.5])
+    @pytest.mark.parametrize("n_h", [0, True, 2.5, -1])
     def test_bounds_and_formula_reject_before_any_search(self, n_h):
         g = cycle_graph(6)
+        for formula in (
+            bounds_report,
+            bipartite_formula,
+            universal_vertex_formula,
+            eccentricity2_case,
+            xi_equals_order_characterization,
+        ):
+            with pytest.raises(GraphError, match="copy order must be a positive integer"):
+                formula(g, n_h)
         with pytest.raises(GraphError, match="copy order must be a positive integer"):
-            bounds_report(g, n_h)
+            join_formula(g, g, n_h)
         assert g.__dict__.keys() <= {"n", "edges", "labels", "adjacency_bits"}
         with pytest.raises(GraphError, match="copy order must be a positive integer"):
             closed_formula(FamilySpec("cycle", (6,)), n_h)
@@ -559,11 +578,11 @@ class TestXiCoronaOracle:
 
     def test_witness_projections_are_covers(self):
         g = cycle_graph(4)
-        cg = corona(g, empty_graph(2))
         result = xi_corona_oracle(g, empty_graph(2))
         ghat = empty_bisector_graph(g).graph
-        upper = cg.upper_projection(result.witness)
-        lower = cg.lower_projection(result.witness)
+        # Vertex j of the copy over base vertex i is n + 2i + j.
+        upper = frozenset((v - g.n) // 2 for v in result.witness if v >= g.n)
+        lower = frozenset(v for v in result.witness if v < g.n)
         assert is_vertex_cover(ghat, upper)
         assert is_vertex_cover(ghat, lower)
         assert upper | lower == frozenset(range(g.n))

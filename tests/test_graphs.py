@@ -80,6 +80,23 @@ class TestConstruction:
         with pytest.raises(GraphError, match="unknown vertex label"):
             fish.index_of(99)
 
+    @pytest.mark.parametrize("label", [True, 1.0, "1"])
+    def test_label_of_another_type_is_unknown(self, fish, label):
+        # The fish's vertex 0 is labelled 1, and True == 1.0 == 1.
+        with pytest.raises(GraphError, match="unknown vertex label"):
+            fish.index_of(label)
+
+    @pytest.mark.parametrize("label", [True, 1.0, -1, 3])
+    def test_unlabelled_graph_knows_only_its_vertices(self, label):
+        g = Graph(3)
+        assert [g.index_of(v) for v in range(3)] == [0, 1, 2]
+        with pytest.raises(GraphError, match="unknown vertex label"):
+            g.index_of(label)
+
+    def test_unhashable_labels_rejected(self):
+        with pytest.raises(GraphError, match="hashable"):
+            Graph(2, labels=[[1], [2]])
+
 
 class TestDistances:
     def test_p3_end_to_end(self):
@@ -91,7 +108,7 @@ class TestDistances:
     def test_k5_corona_diameter(self):
         # Frozen from the definition-level oracle on the explicit product.
         k5 = complete_graph(5)
-        product = corona(k5, empty_graph(1)).product
+        product = corona(k5, empty_graph(1))
         oracle = oracles.floyd_warshall(product.n, product.edges)
         assert max(max(r) for r in oracle) == 3
         assert max(max(r) for r in product.distances) == 3
@@ -132,8 +149,8 @@ class TestConnectivity:
         assert not Graph(2).is_connected
 
     def test_corona_connected_iff_base_is(self):
-        assert corona(cycle_graph(3), path_graph(2)).product.is_connected
-        assert not corona(Graph(2), path_graph(2)).product.is_connected
+        assert corona(cycle_graph(3), path_graph(2)).is_connected
+        assert not corona(Graph(2), path_graph(2)).is_connected
 
     def test_disconnected_graph_builds_no_distance_matrix(self):
         g = Graph(6, [(0, 1), (1, 2), (3, 4)])
@@ -269,66 +286,53 @@ class TestOnePassCoronaTables:
 
 class TestCorona:
     def test_c3_p2_layout(self):
-        cg = corona(cycle_graph(3), path_graph(2))
+        product = corona(cycle_graph(3), path_graph(2))
         # triangle 0-1-2, copy of vertex i on {3+2i, 4+2i}, each joined to i
         expected = {(0, 1), (0, 2), (1, 2)}
         for i in range(3):
             a, b = 3 + 2 * i, 4 + 2 * i
             expected |= {(a, b), (i, a), (i, b)}
-        assert set(cg.product.edges) == expected
-        assert cg.product.n == 9
+        assert set(product.edges) == expected
+        assert product.n == 9
 
     def test_matches_definition_level_construction(self):
         g, h = cycle_graph(4), path_graph(3)
         n, edges = oracles.corona_edges(g.n, g.edges, h.n, h.edges)
-        product = corona(g, h).product
+        product = corona(g, h)
         assert product.n == n
         assert set(product.edges) == {(min(e), max(e)) for e in edges}
 
     def test_k1_base_is_universal(self):
-        cg = corona(Graph(1), cycle_graph(4))
-        assert cg.product.degree(0) == 4
+        assert corona(Graph(1), cycle_graph(4)).degree(0) == 4
 
     def test_cross_copy_distance(self):
-        cg = corona(cycle_graph(3), path_graph(2))
-        u, w = cg.copy_vertex(0, 0), cg.copy_vertex(1, 1)
-        assert cg.product.distance(u, w) == cg.base.distance(0, 1) + 2 == 3
-
-    def test_vertex_kind_total(self):
-        cg = corona(path_graph(2), path_graph(3))
-        kinds = [cg.kind(v) for v in range(cg.product.n)]
-        assert kinds[:2] == [("base", 0), ("base", 1)]
-        assert kinds[2] == ("copy", 0, 0) and kinds[-1] == ("copy", 1, 2)
-        with pytest.raises(GraphError):
-            cg.kind(cg.product.n)
-
-    def test_projections(self):
-        cg = corona(cycle_graph(3), path_graph(2))
-        s = {0, 2, cg.copy_vertex(1, 0), cg.copy_vertex(1, 1), cg.copy_vertex(2, 1)}
-        assert cg.lower_projection(s) == frozenset({0, 2})
-        assert cg.upper_projection(s) == frozenset({1, 2})
+        g, h = cycle_graph(3), path_graph(2)
+        u, w = 3, 6  # vertex 0 of copy 0 and vertex 1 of copy 1
+        assert divmod(u - g.n, h.n) == (0, 0) and divmod(w - g.n, h.n) == (1, 1)
+        assert corona(g, h).distance(u, w) == g.distance(0, 1) + 2 == 3
 
     @given(graph_pairs_for_corona())
     @settings(max_examples=60)
     def test_distance_law_exhaustive(self, pair):
         g, h = pair
-        cg = corona(g, h)
-        d = cg.product.distances
+        product = corona(g, h)
+        d = product.distances
         dg, dh = g.distances, h.distances
-        for x in range(cg.product.n):
-            kx = cg.kind(x)
-            for y in range(x + 1, cg.product.n):
-                ky = cg.kind(y)
-                if kx[0] == "base" and ky[0] == "base":
+        # A base vertex x keeps index x; the others are (copy i, vertex j).
+        roles = [divmod(v - g.n, h.n) if v >= g.n else None for v in range(product.n)]
+        for x in range(product.n):
+            for y in range(x + 1, product.n):
+                rx, ry = roles[x], roles[y]
+                if rx is None and ry is None:
                     want = dg[x][y]
-                elif kx[0] == "copy" and ky[0] == "copy":
-                    if kx[1] == ky[1]:
-                        want = min(dh[kx[2]][ky[2]], 2)
+                elif rx is not None and ry is not None:
+                    if rx[0] == ry[0]:
+                        want = min(dh[rx[1]][ry[1]], 2)
                     else:
-                        want = dg[kx[1]][ky[1]] + 2
+                        want = dg[rx[0]][ry[0]] + 2
                 else:
-                    base, copy = (kx, ky) if ky[0] == "copy" else (ky, kx)
-                    want = dg[base[1]][copy[1]] + 1
+                    base, copy = (x, ry) if rx is None else (y, rx)
+                    want = dg[base][copy[0]] + 1
                 assert d[x][y] == want
 
 
@@ -352,7 +356,7 @@ class TestJoin:
 
 class TestDegreeProfile:
     def test_k5_corona_max_degree(self):
-        product = corona(complete_graph(5), empty_graph(1)).product
+        product = corona(complete_graph(5), empty_graph(1))
         assert degree_profile(product).max_degree == 5
 
     def test_c6_eccentricities(self):
