@@ -4,7 +4,8 @@ The package computes distance-equalizer sets and the equidistant dimension,
 the total variant, and the corona-product dimension for arbitrary copy
 orders, driven by the empty bisector graph and exact vertex-cover search.
 Everything is deterministic: optima are tie-broken to lexicographically
-smallest witnesses.
+smallest witnesses, except the maximum independent set, which is the
+lexicographically largest (the complement of the smallest minimum cover).
 """
 
 from .bisectors import EmptyBisectorGraph, bisector, empty_bisector_graph

@@ -3,7 +3,9 @@ vertex covers in size-then-lexicographic order.
 
 All solvers work on bitmask adjacency rows and are exact.  Witnesses are
 tie-broken to the lexicographically smallest vertex set (compared as sorted
-tuples) among all optimal solutions, so results are reproducible.  Instances
+tuples) among all optimal solutions, so results are reproducible; the one
+exception is the independence witness, the complement of the smallest
+minimum cover, which is the lexicographically largest.  Instances
 above :data:`MAX_EXACT_ORDER` vertices are rejected rather than searched
 unboundedly.
 
@@ -164,8 +166,10 @@ def vertex_cover_number(g: Graph, max_order: int | None = None) -> CoverResult:
 def independence_number(g: Graph, max_order: int | None = None) -> CoverResult:
     """Maximum independent set, as order minus the vertex cover number.
 
-    The witness is the complement of the cover witness and is re-validated
-    directly against the adjacency before being returned.
+    The witness is the complement of the lex-smallest minimum cover, so it is
+    the lexicographically largest maximum independent set (complements of
+    one size reverse lexicographic order).  It is re-validated directly
+    against the adjacency before being returned.
     """
     cover = vertex_cover_number(g, max_order)
     witness = frozenset(range(g.n)) - cover.witness

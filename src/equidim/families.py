@@ -28,13 +28,18 @@ from .graphs import Graph
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Symbolic name of a graph family plus its integer parameters."""
+    """Symbolic name of a graph family plus its integer parameters; a
+    parameter that is not a plain ``int`` (``True``, ``2.0``, ``"5"``) is
+    rejected."""
 
     name: str
     params: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        object.__setattr__(self, "params", tuple(self.params))
+        params = tuple(self.params)
+        if any(type(p) is not int for p in params):
+            raise GraphError(f"family parameters must be integers, got {params!r}")
+        object.__setattr__(self, "params", params)
 
 
 def empty_graph(n: int) -> Graph:
@@ -159,48 +164,52 @@ _FIXED_EXAMPLES = {
     "k5-leaves": k5_leaves_graph,
 }
 
-#: family name -> (exact parameter count or None for variadic, order, builder).
-#: The order is read off the parameters, so an oversized family is refused
+#: family name -> (parameter count, or None for any; order; builder).  The
+#: order is read off the parameters, so an oversized family is refused
 #: before it is built; a hypercube dimension is clamped first, since only
 #: whether it exceeds 10 matters.
 _PARAMETRIC = {
-    "empty": (1, sum, lambda p: empty_graph(*p)),
-    "path": (1, sum, lambda p: path_graph(*p)),
-    "cycle": (1, sum, lambda p: cycle_graph(*p)),
-    "wheel": (1, sum, lambda p: wheel_graph(*p)),
-    "complete": (1, sum, lambda p: complete_graph(*p)),
-    "complete-bipartite": (2, sum, lambda p: complete_bipartite_graph(*p)),
-    "complete-multipartite": (None, sum, lambda p: complete_multipartite_graph(p)),
-    "bistar": (2, lambda p: sum(p) + 2, lambda p: bistar_graph(*p)),
-    "hypercube": (1, lambda p: 1 << min(max(p[0], 0), 11), lambda p: hypercube_graph(*p)),
+    "empty": (1, sum, empty_graph),
+    "path": (1, sum, path_graph),
+    "cycle": (1, sum, cycle_graph),
+    "wheel": (1, sum, wheel_graph),
+    "complete": (1, sum, complete_graph),
+    "complete-bipartite": (2, sum, complete_bipartite_graph),
+    "complete-multipartite": (None, sum, lambda *sizes: complete_multipartite_graph(sizes)),
+    "bistar": (2, lambda p: sum(p) + 2, bistar_graph),
+    "hypercube": (1, lambda p: 1 << min(max(p[0], 0), 11), hypercube_graph),
 }
 
 FAMILY_NAMES = tuple(sorted(_PARAMETRIC) + sorted(_FIXED_EXAMPLES))
+
+
+def check_arity(spec: FamilySpec) -> None:
+    """Raise :class:`GraphError` unless ``spec`` names a known family and
+    carries as many parameters as that family takes."""
+    if spec.name in _FIXED_EXAMPLES:
+        arity = 0
+    elif spec.name in _PARAMETRIC:
+        arity = _PARAMETRIC[spec.name][0]
+    else:
+        raise GraphError(f"unknown family {spec.name!r}; known: {', '.join(FAMILY_NAMES)}")
+    if arity is not None and len(spec.params) != arity:
+        raise GraphError(f"family {spec.name!r} takes {arity} parameter(s), got {len(spec.params)}")
 
 
 def generate(spec: FamilySpec) -> Graph:
     """Build the canonical graph for a family spec.  Orders above
     :data:`~equidim.fileio.MAX_INPUT_ORDER`, which no edge list may declare,
     are refused."""
+    check_arity(spec)
     if spec.name in _FIXED_EXAMPLES:
-        if spec.params:
-            raise GraphError(f"family {spec.name!r} takes no parameters")
         return _FIXED_EXAMPLES[spec.name]()
-    if spec.name in _PARAMETRIC:
-        arity, order, builder = _PARAMETRIC[spec.name]
-        if arity is not None and len(spec.params) != arity:
-            raise GraphError(
-                f"family {spec.name!r} takes {arity} parameter(s), got {len(spec.params)}"
-            )
-        if arity is None and not spec.params:
-            raise GraphError(f"family {spec.name!r} needs at least one parameter")
-        if order(spec.params) > MAX_INPUT_ORDER:
-            raise GraphError(
-                f"family {spec.name!r} with parameters {list(spec.params)} has more than "
-                f"{MAX_INPUT_ORDER} vertices, the input limit"
-            )
-        return builder(spec.params)
-    raise GraphError(f"unknown family {spec.name!r}; known: {', '.join(FAMILY_NAMES)}")
+    _, order, builder = _PARAMETRIC[spec.name]
+    if order(spec.params) > MAX_INPUT_ORDER:
+        raise GraphError(
+            f"family {spec.name!r} with parameters {list(spec.params)} has more than "
+            f"{MAX_INPUT_ORDER} vertices, the input limit"
+        )
+    return builder(*spec.params)
 
 
 def _check(ok: bool, message: str) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import equalizers
 from .errors import BudgetError, GraphError, check_copy_order
-from .families import FamilySpec, _check
+from .families import FamilySpec, check_arity
 from .graphs import Graph, degree_profile
 
 
@@ -41,14 +41,13 @@ class FormulaValue:
     The bistar clause is flagged: the expression ``r*n(H) + s`` would need
     partite sets of sizes r and s, but the order-(r+s+2) bistar has parts of
     sizes r+1 and s+1.  Both values are reported; ``alternate_value``
-    carries the bipartite-rule value, which is the one the verification
-    suites trust.
+    carries the bipartite-rule value, the same expression at r+1 and s+1,
+    which is the one the verification suites trust.
     """
 
     family: FamilySpec
     n_h: int
     value: int
-    clause: str
     flagged: bool = False
     alternate_value: int | None = None
 
@@ -94,74 +93,36 @@ def _assert_chain(r: BoundsReport) -> None:
         raise AssertionError(f"bound chain violated: {r}")
 
 
-def _params(spec: FamilySpec, count: int) -> tuple[int, ...]:
-    if len(spec.params) != count:
-        raise GraphError(
-            f"clause for {spec.name!r} takes {count} parameter(s), got {len(spec.params)}"
-        )
-    return spec.params
-
-
-_FORMULA_FAMILIES = (
-    "complete",
-    "complete-bipartite",
-    "bistar",
-    "complete-multipartite",
-    "wheel",
-    "hypercube",
-    "path",
-    "cycle",
-)
+#: family -> (condition on the parameters, that condition as stated, value
+#: at n(H)).
+_CLAUSES = {
+    "complete": (lambda n: n >= 2, "n >= 2", lambda n_h, n: n_h + 1 if n == 2 else n),
+    "complete-bipartite": (lambda r, s: 1 <= r <= s, "1 <= r <= s", lambda n_h, r, s: r * n_h + s),
+    "bistar": (lambda r, s: 1 <= r <= s, "1 <= r <= s", lambda n_h, r, s: r * n_h + s),
+    "complete-multipartite": (
+        lambda *sizes: len(sizes) >= 3 and min(sizes) >= 1,
+        "p >= 3 parts, each of size >= 1",
+        lambda n_h, *sizes: sum(sizes),
+    ),
+    "wheel": (lambda n: n >= 4, "n >= 4", lambda n_h, n: n),
+    "hypercube": (lambda d: d >= 1, "dimension >= 1", lambda n_h, d: (1 << (d - 1)) * (n_h + 1)),
+    "path": (lambda n: n >= 2, "n >= 2", lambda n_h, n: (n // 2) * n_h + (n + 1) // 2),
+    "cycle": (lambda n: n >= 3, "n >= 3", lambda n_h, n: n if n % 2 else n * (n_h + 1) // 2),
+}
 
 
 def closed_formula(spec: FamilySpec, n_h: int) -> FormulaValue:
     """Corona dimension of a named family by its closed-form clause."""
     check_copy_order(n_h)
-    name, params = spec.name, spec.params
-    if name == "complete":
-        (n,) = _params(spec, 1)
-        _check(n >= 2, f"complete clause needs n >= 2, got {n}")
-        value = n_h + 1 if n == 2 else n
-        return FormulaValue(spec, n_h, value, "complete")
-    if name == "complete-bipartite":
-        r, s = _params(spec, 2)
-        _check(1 <= r <= s, f"complete-bipartite clause needs 1 <= r <= s, got {params}")
-        return FormulaValue(spec, n_h, r * n_h + s, "complete-bipartite")
-    if name == "bistar":
-        r, s = _params(spec, 2)
-        _check(1 <= r <= s, f"bistar clause needs 1 <= r <= s, got {params}")
-        return FormulaValue(
-            spec,
-            n_h,
-            r * n_h + s,
-            "bistar",
-            flagged=True,
-            alternate_value=(r + 1) * n_h + (s + 1),
-        )
-    if name == "complete-multipartite":
-        _check(len(params) >= 3, f"multipartite clause needs p >= 3 parts, got {params}")
-        _check(all(x >= 1 for x in params), f"part sizes must be >= 1, got {params}")
-        return FormulaValue(spec, n_h, sum(params), "complete-multipartite")
-    if name == "wheel":
-        (n,) = _params(spec, 1)
-        _check(n >= 4, f"wheel clause needs n >= 4, got {n}")
-        return FormulaValue(spec, n_h, n, "wheel")
-    if name == "hypercube":
-        (d,) = _params(spec, 1)
-        _check(d >= 1, f"hypercube clause needs dimension >= 1, got {d}")
-        return FormulaValue(spec, n_h, (1 << (d - 1)) * (n_h + 1), "hypercube")
-    if name == "path":
-        (n,) = _params(spec, 1)
-        _check(n >= 2, f"path clause needs n >= 2, got {n}")
-        return FormulaValue(spec, n_h, (n // 2) * n_h + (n + 1) // 2, "path")
-    if name == "cycle":
-        (n,) = _params(spec, 1)
-        _check(n >= 3, f"cycle clause needs n >= 3, got {n}")
-        value = n if n % 2 == 1 else n * (n_h + 1) // 2
-        return FormulaValue(spec, n_h, value, "cycle")
-    raise GraphError(
-        f"no closed formula for family {name!r}; covered: {', '.join(_FORMULA_FAMILIES)}"
-    )
+    if spec.name not in _CLAUSES:
+        raise GraphError(f"no closed formula for {spec.name!r}; covered: {', '.join(_CLAUSES)}")
+    check_arity(spec)
+    condition, stated, value = _CLAUSES[spec.name]
+    if not condition(*spec.params):
+        raise GraphError(f"{spec.name} clause needs {stated}, got {list(spec.params)}")
+    bistar = spec.name == "bistar"
+    alternate = value(n_h, *(p + 1 for p in spec.params)) if bistar else None
+    return FormulaValue(spec, n_h, value(n_h, *spec.params), bistar, alternate)
 
 
 def xi_equals_order_characterization(g: Graph, n_h: int) -> tuple[bool, str]:

@@ -31,6 +31,7 @@ from equidim.families import (
     cycle_graph,
     empty_graph,
     generate,
+    path_graph,
 )
 
 
@@ -106,6 +107,14 @@ class TestIndependenceNumber:
 
     def test_triangle(self):
         assert independence_number(complete_graph(3)).value == 1
+
+    def test_witness_is_the_lexicographically_largest(self):
+        # The complement of the lex-smallest minimum cover; among sets of
+        # one size, complements reverse lexicographic order.  The clique
+        # witness is the lex-smallest, as every other optimum is.
+        assert independence_number(path_graph(4)).witness == {1, 3}
+        assert independence_number(cycle_graph(4)).witness == {1, 3}
+        assert clique_number(cycle_graph(4)).witness == {0, 1}
 
     @given(connected_graphs(max_n=9))
     @settings(max_examples=50)

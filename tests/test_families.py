@@ -103,6 +103,22 @@ def test_invalid_specs_rejected(spec):
         generate(spec)
 
 
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("path", (2.5,)),
+        ("cycle", (6.0,)),
+        ("complete-bipartite", (True, 2)),
+        ("hypercube", (2.0,)),
+        ("wheel", ("5",)),
+    ],
+)
+def test_non_integer_parameters_rejected(name, params):
+    # Built inside the check: the spec itself refuses the parameters.
+    with pytest.raises(GraphError, match="must be integers"):
+        generate(FamilySpec(name, params))
+
+
 def test_generate_dispatch_matches_builders():
     assert generate(FamilySpec("path", (4,))) == path_graph(4)
     assert generate(FamilySpec("complete-bipartite", (2, 3))) == complete_bipartite_graph(2, 3)
@@ -124,8 +140,8 @@ def test_order_above_the_input_limit_refused_before_building(monkeypatch, spec):
     def never(*args):
         raise AssertionError("builder ran")
 
-    for builder in ("path_graph", "hypercube_graph", "bistar_graph", "complete_multipartite_graph"):
-        monkeypatch.setattr(families, builder, never)
+    arity, order, _ = families._PARAMETRIC[spec.name]
+    monkeypatch.setitem(families._PARAMETRIC, spec.name, (arity, order, never))
     with pytest.raises(GraphError, match="input limit"):
         generate(spec)
 

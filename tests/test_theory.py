@@ -110,11 +110,46 @@ class TestClosedFormula:
             FamilySpec("path", (1,)),
             FamilySpec("complete", (1,)),
             FamilySpec("complete-bipartite", (3, 2)),
+            FamilySpec("path", (1, 2)),
+            FamilySpec("complete-bipartite", (2,)),
+            FamilySpec("complete-multipartite", ()),
         ],
     )
     def test_uncovered_or_invalid_rejected(self, spec):
         with pytest.raises(GraphError):
             closed_formula(spec, 1)
+
+    def test_every_clause_matches_the_solver_at_larger_orders(self):
+        # 232 members, orders up to the cover cap of 28; each bistar is
+        # checked against its bipartite-rule value.
+        specs = [FamilySpec(name, (n,)) for name in ("path", "complete") for n in range(2, 29)]
+        specs += [FamilySpec("cycle", (n,)) for n in range(3, 29)]
+        specs += [FamilySpec("wheel", (n,)) for n in range(4, 29)]
+        specs += [FamilySpec("hypercube", (d,)) for d in range(1, 5)]
+        specs += [
+            FamilySpec("complete-bipartite", (r, s)) for r in range(1, 8) for s in range(r, 14)
+        ]
+        specs += [
+            FamilySpec("complete-multipartite", sizes)
+            for sizes in (
+                (1, 1, 1),
+                (1, 2, 2),
+                (2, 2, 2),
+                (1, 1, 6),
+                (3, 3, 3),
+                (1, 2, 3, 4),
+                (2, 3, 4, 5),
+                (1, 1, 1, 1, 1, 1),
+            )
+        ]
+        bistars = [FamilySpec("bistar", (r, s)) for r in range(1, 10) for s in range(r, 10)]
+        assert len(specs) + len(bistars) == 232
+        for spec in specs + bistars:
+            g = generate(spec)
+            for n_h in (1, 2, 3, 5, 9):
+                f = closed_formula(spec, n_h)
+                expected = f.alternate_value if f.flagged else f.value
+                assert xi_corona_structured(g, n_h).value == expected, (spec, n_h)
 
 
 class TestCharacterization:
