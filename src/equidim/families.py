@@ -28,15 +28,20 @@ from .graphs import Graph
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Symbolic name of a graph family plus its integer parameters; a
-    parameter that is not a plain ``int`` (``True``, ``2.0``, ``"5"``) is
-    rejected."""
+    """Symbolic name of a graph family plus its integer parameters; a name
+    that is not a ``str``, or a parameter that is not a plain ``int``
+    (``True``, ``2.0``, ``"5"``), is rejected."""
 
     name: str
     params: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        params = tuple(self.params)
+        if type(self.name) is not str:
+            raise GraphError(f"family name must be a string, got {self.name!r}")
+        try:
+            params = tuple(self.params)
+        except TypeError:
+            raise GraphError(f"family parameters must be a sequence, got {self.params!r}") from None
         if any(type(p) is not int for p in params):
             raise GraphError(f"family parameters must be integers, got {params!r}")
         object.__setattr__(self, "params", params)

@@ -3,9 +3,8 @@ corona dimension into machine-checkable pass/fail records.
 
 Reports are plain data with a canonical JSON form: checks are sorted by
 key and serialization uses sorted keys and fixed separators, so identical
-inputs and seed produce byte-identical output regardless of worker-count
-hints.  Failures carry the offending graph as an edge list; they are data,
-not exceptions.
+inputs and seed produce byte-identical output.  Failures carry the
+offending graph as an edge list; they are data, not exceptions.
 """
 
 from __future__ import annotations
@@ -32,7 +31,22 @@ class CheckResult:
 class SuiteReport:
     suite: str
     seed: int
-    checks: list[CheckResult]
+    checks: list[CheckResult] = field(default_factory=list)
+
+    def record(self, key: str, fn, **extra) -> None:
+        """Passes with the details ``fn()`` returns; an exception inside it
+        fails the check instead of aborting the suite.  ``extra`` joins the
+        details of either outcome."""
+        try:
+            self.checks.append(CheckResult(key, True, {**fn(), **extra}))
+        except (EquidimError, AssertionError) as exc:
+            self.checks.append(CheckResult(key, False, {"error": str(exc), **extra}))
+
+    def expect(self, key: str, actual, expected, **extra) -> None:
+        self.claim(key, actual == expected, actual=actual, expected=expected, **extra)
+
+    def claim(self, key: str, ok: bool, **details) -> None:
+        self.checks.append(CheckResult(key, bool(ok), details))
 
     @property
     def passed(self) -> bool:
@@ -60,28 +74,6 @@ def _blob(g: Graph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.edges]}
 
 
-class _Recorder:
-    """Collects checks; an exception inside a checked block fails the check
-    instead of aborting the suite."""
-
-    def __init__(self):
-        self.checks: list[CheckResult] = []
-
-    def record(self, key: str, fn) -> None:
-        try:
-            details = fn()
-            self.checks.append(CheckResult(key, True, details or {}))
-        except (EquidimError, AssertionError) as exc:
-            self.checks.append(CheckResult(key, False, {"error": str(exc)}))
-
-    def expect(self, key: str, actual, expected, **extra) -> None:
-        details = {"actual": actual, "expected": expected, **extra}
-        self.checks.append(CheckResult(key, actual == expected, details))
-
-    def claim(self, key: str, ok: bool, **details) -> None:
-        self.checks.append(CheckResult(key, bool(ok), details))
-
-
 # -- individual suites ----------------------------------------------------------
 
 
@@ -89,7 +81,7 @@ def suite_table1(seed: int = 0) -> SuiteReport:
     """Reference value table for the fish example: sharp lower bound, the two
     canonical decompositions, the general upper bound, and the exact value
     for copy orders one to three."""
-    rec = _Recorder()
+    report = SuiteReport("table1", seed)
     g = generate(FamilySpec("fish"))
     beta, alpha = equalizers.ghat_stats(g)
     ghat = empty_bisector_graph(g).graph
@@ -99,7 +91,7 @@ def suite_table1(seed: int = 0) -> SuiteReport:
     u2 = frozenset({g.index_of(3), g.index_of(4)})
     l2 = frozenset(g.index_of(x) for x in (1, 2, 5, 6))
     for umask, lmask, tag in ((u1, l1, "s1"), (u2, l2, "s2")):
-        rec.claim(
+        report.claim(
             f"fish/decomposition-{tag}-valid",
             covers.is_vertex_cover(ghat, umask)
             and covers.is_vertex_cover(ghat, lmask)
@@ -112,87 +104,77 @@ def suite_table1(seed: int = 0) -> SuiteReport:
         s2 = len(u2) * n_h + len(l2)
         upper = beta * n_h + g.n
         exact = equalizers.xi_corona_structured(g, n_h).value
-        rec.expect(f"fish/nh={n_h}", (lower, s1, s2, upper, exact), row, **_blob(g))
-    return SuiteReport("table1", seed, rec.checks)
+        report.expect(f"fish/nh={n_h}", (lower, s1, s2, upper, exact), row, **_blob(g))
+    return report
 
 
 def suite_fig7(seed: int = 0) -> SuiteReport:
     """Two-slope curve of the pendant-triangle example: the exact values sit
     on one line up to copy order two and on a flatter line afterwards."""
-    rec = _Recorder()
+    report = SuiteReport("fig7", seed)
     g = generate(FamilySpec("pendant-triangle"))
     expected = {1: 8, 2: 12, 3: 16, 4: 19, 5: 22, 6: 25}
     for n_h, want in expected.items():
         got = equalizers.xi_corona_structured(g, n_h).value
-        rec.expect(f"pendant-triangle/nh={n_h}", got, want, **_blob(g))
+        report.expect(f"pendant-triangle/nh={n_h}", got, want, **_blob(g))
         line = 4 * n_h + 4 if n_h <= 2 else 3 * n_h + 7
-        rec.expect(f"pendant-triangle/line/nh={n_h}", got, line)
-    return SuiteReport("fig7", seed, rec.checks)
+        report.expect(f"pendant-triangle/line/nh={n_h}", got, line)
+    return report
 
 
-_FAMILY_INSTANCES: tuple[tuple[FamilySpec, ...], ...] = (
-    tuple(FamilySpec("complete", (n,)) for n in (2, 3, 4, 5)),
-    tuple(FamilySpec("complete-bipartite", p) for p in ((1, 1), (1, 2), (2, 2))),
-    tuple(
-        FamilySpec("complete-multipartite", p)
-        for p in ((1, 1, 1), (1, 1, 2), (1, 2, 2))
-    ),
-    tuple(FamilySpec("wheel", (n,)) for n in (4, 5, 6)),
-    tuple(FamilySpec("hypercube", (d,)) for d in (1, 2, 3)),
-    tuple(FamilySpec("path", (n,)) for n in (2, 3, 4, 5)),
-    tuple(FamilySpec("cycle", (n,)) for n in (3, 4, 5, 6)),
+_FAMILY_SPECS = tuple(
+    FamilySpec(name, p)
+    for name, params in (
+        ("complete", ((2,), (3,), (4,), (5,))),
+        ("complete-bipartite", ((1, 1), (1, 2), (2, 2))),
+        ("complete-multipartite", ((1, 1, 1), (1, 1, 2), (1, 2, 2))),
+        ("wheel", ((4,), (5,), (6,))),
+        ("hypercube", ((1,), (2,), (3,))),
+        ("path", ((2,), (3,), (4,), (5,))),
+        ("cycle", ((3,), (4,), (5,), (6,))),
+        ("bistar", ((1, 1), (1, 2), (2, 2))),
+    )
+    for p in params
 )
-
-_BISTAR_INSTANCES = tuple(FamilySpec("bistar", p) for p in ((1, 1), (1, 2), (2, 2)))
 
 
 def suite_families(seed: int = 0) -> SuiteReport:
     """Closed formulas against the structured solver on the smallest members
-    of every covered family; the flagged bistar clause is checked against
-    its bipartite-rule value rather than the r*n(H)+s expression."""
-    rec = _Recorder()
-    for group in _FAMILY_INSTANCES:
-        for spec in group:
-            g = generate(spec)
-            for n_h in (1, 2, 3):
-                formula = theory.closed_formula(spec, n_h)
-                exact = equalizers.xi_corona_structured(g, n_h).value
-                rec.expect(
-                    f"{spec.name}{list(spec.params)}/nh={n_h}",
-                    exact,
-                    formula.value,
-                    **_blob(g),
-                )
-    for spec in _BISTAR_INSTANCES:
+    of every covered family; a flagged clause (bistar) is checked against
+    its bipartite-rule value rather than its published expression."""
+    report = SuiteReport("families", seed)
+    for spec in _FAMILY_SPECS:
         g = generate(spec)
         for n_h in (1, 2, 3):
             formula = theory.closed_formula(spec, n_h)
             exact = equalizers.xi_corona_structured(g, n_h).value
-            rec.claim(
-                f"bistar{list(spec.params)}/nh={n_h}",
-                formula.flagged
-                and exact == formula.alternate_value
-                and exact != formula.value,
-                actual=exact,
-                bipartite_rule=formula.alternate_value,
-                published=formula.value,
-                **_blob(g),
-            )
-    return SuiteReport("families", seed, rec.checks)
+            key = f"{spec.name}{list(spec.params)}/nh={n_h}"
+            if formula.flagged:
+                report.claim(
+                    key,
+                    exact == formula.alternate_value and exact != formula.value,
+                    actual=exact,
+                    bipartite_rule=formula.alternate_value,
+                    published=formula.value,
+                    **_blob(g),
+                )
+            else:
+                report.expect(key, exact, formula.value, **_blob(g))
+    return report
 
 
 def suite_bounds(seed: int = 0) -> SuiteReport:
     """Bound chains: the fixed worked examples first, then the seeded random
     corpus for copy orders one to five."""
-    rec = _Recorder()
+    report = SuiteReport("bounds", seed)
     chorded = generate(FamilySpec("chorded-path"))
     beta, alpha = equalizers.ghat_stats(chorded)
-    rec.expect("chorded-path/beta-alpha", (beta, alpha), (4, 3), **_blob(chorded))
-    rec.expect(
+    report.expect("chorded-path/beta-alpha", (beta, alpha), (4, 3), **_blob(chorded))
+    report.expect(
         "chorded-path/overlap", equalizers.beta_star(chorded).value, 1, **_blob(chorded)
     )
     for n_h in (1, 2, 3, 4):
-        rec.expect(
+        report.expect(
             f"chorded-path/nh={n_h}",
             equalizers.xi_corona_structured(chorded, n_h).value,
             4 * n_h + 4,
@@ -200,18 +182,19 @@ def suite_bounds(seed: int = 0) -> SuiteReport:
         )
     for idx, g in enumerate(theory.seeded_corpus(seed)):
         for n_h in range(1, 6):
-            rec.record(
+            report.record(
                 f"corpus[{idx:02d}]/nh={n_h}",
-                lambda g=g, n_h=n_h: {"exact": theory.bounds_report(g, n_h).exact, **_blob(g)},
+                lambda g=g, n_h=n_h: {"exact": theory.bounds_report(g, n_h).exact},
+                **_blob(g),
             )
-    return SuiteReport("bounds", seed, rec.checks)
+    return report
 
 
 def suite_bipartite(seed: int = 0) -> SuiteReport:
     """Bipartite base graphs: the empty bisector graph is complete bipartite
     on the same color classes, and the two-coloring formula matches the
     structured solver."""
-    rec = _Recorder()
+    report = SuiteReport("bipartite", seed)
     rng = random.Random(seed)
     samples = [theory.random_connected_bipartite(rng, rng.randint(2, 12)) for _ in range(30)]
     for idx, g in enumerate(samples):
@@ -220,42 +203,42 @@ def suite_bipartite(seed: int = 0) -> SuiteReport:
         want_edges = {
             (min(u, v), max(u, v)) for u in big for v in small
         }
-        rec.claim(
+        report.claim(
             f"bipartite[{idx:02d}]/ghat-complete-bipartite",
             set(ghat.edges) == want_edges,
             **_blob(g),
         )
         for n_h in range(1, 5):
-            rec.expect(
+            report.expect(
                 f"bipartite[{idx:02d}]/nh={n_h}",
                 equalizers.xi_corona_structured(g, n_h).value,
                 theory.bipartite_formula(g, n_h),
                 **_blob(g),
             )
-    return SuiteReport("bipartite", seed, rec.checks)
+    return report
 
 
 def suite_gallai(seed: int = 0) -> SuiteReport:
     """Cover number plus independence number equals the order, checked on
     the empty bisector graphs of the random corpus."""
-    rec = _Recorder()
+    report = SuiteReport("gallai", seed)
     for idx, g in enumerate(theory.seeded_corpus(seed)):
         ghat = empty_bisector_graph(g).graph
         beta = covers.vertex_cover_number(ghat).value
         alpha = covers.independence_number(ghat).value
-        rec.expect(f"corpus[{idx:02d}]/gallai", alpha + beta, ghat.n, **_blob(g))
-    return SuiteReport("gallai", seed, rec.checks)
+        report.expect(f"corpus[{idx:02d}]/gallai", alpha + beta, ghat.n, **_blob(g))
+    return report
 
 
 def suite_characterization(seed: int = 0) -> SuiteReport:
     """The predicate for the corona dimension equalling the base order agrees
     with the exact value on every corpus instance."""
-    rec = _Recorder()
+    report = SuiteReport("characterization", seed)
     for idx, g in enumerate(theory.seeded_corpus(seed)):
         for n_h in range(1, 6):
             predicted, clause = theory.xi_equals_order_characterization(g, n_h)
             exact = equalizers.xi_corona_structured(g, n_h).value
-            rec.claim(
+            report.claim(
                 f"corpus[{idx:02d}]/nh={n_h}",
                 predicted == (exact == g.n),
                 predicted=predicted,
@@ -263,43 +246,43 @@ def suite_characterization(seed: int = 0) -> SuiteReport:
                 exact=exact,
                 **_blob(g),
             )
-    return SuiteReport("characterization", seed, rec.checks)
+    return report
 
 
 def suite_linearity(seed: int = 0) -> SuiteReport:
     """Beyond the threshold the exact values sit exactly on the slope/intercept
     line and use a smallest cover; at or below it they stay on or under it."""
-    rec = _Recorder()
+    report = SuiteReport("linearity", seed)
     for idx, g in enumerate(theory.seeded_corpus(seed)):
         line = equalizers.k_threshold(g)
         for n_h in range(1, line.threshold + 5):
             result = equalizers.xi_corona_structured(g, n_h)
             wanted = line.slope * n_h + line.k
             if n_h > line.threshold:
-                rec.expect(
+                report.expect(
                     f"corpus[{idx:02d}]/on-line/nh={n_h}", result.value, wanted, **_blob(g)
                 )
-                rec.claim(
+                report.claim(
                     f"corpus[{idx:02d}]/minimum-cover/nh={n_h}",
                     len(result.decomposition[0]) == line.slope,
                     **_blob(g),
                 )
             else:
-                rec.claim(
+                report.claim(
                     f"corpus[{idx:02d}]/under-line/nh={n_h}",
                     result.value <= wanted,
                     actual=result.value,
                     line=wanted,
                     **_blob(g),
                 )
-    return SuiteReport("linearity", seed, rec.checks)
+    return report
 
 
 def suite_oracle_equivalence(seed: int = 0) -> SuiteReport:
     """The structured solver equals the product-graph exact search on every
     connected base graph of order at most four, and the oracle value depends
     on the copy graph only through its order."""
-    rec = _Recorder()
+    report = SuiteReport("oracle-equivalence", seed)
     small_h = {
         "N1": generate(FamilySpec("empty", (1,))),
         "N2": generate(FamilySpec("empty", (2,))),
@@ -313,7 +296,7 @@ def suite_oracle_equivalence(seed: int = 0) -> SuiteReport:
     for n in range(1, 5):
         for idx, g in enumerate(theory.all_connected_graphs(n)):
             for tag, h in small_h.items():
-                rec.expect(
+                report.expect(
                     f"n={n}[{idx:02d}]/{tag}",
                     equalizers.xi_corona_structured(g, h.n).value,
                     equalizers.xi_corona_oracle(g, h).value,
@@ -324,13 +307,13 @@ def suite_oracle_equivalence(seed: int = 0) -> SuiteReport:
                     tag: equalizers.xi_corona_oracle(g, h).value
                     for tag, h in order3_h.items()
                 }
-                rec.claim(
+                report.claim(
                     f"n={n}[{idx:02d}]/order-only",
                     len(set(values.values())) == 1,
                     **values,
                     **_blob(g),
                 )
-    return SuiteReport("oracle-equivalence", seed, rec.checks)
+    return report
 
 
 def suite_g_vs_ghat(seed: int = 0) -> SuiteReport:
@@ -338,28 +321,26 @@ def suite_g_vs_ghat(seed: int = 0) -> SuiteReport:
     maximum degree and clique number against cover/independence numbers,
     odd distances on its edges, and the eccentricity-two and universal-vertex
     special cases."""
-    rec = _Recorder()
+    report = SuiteReport("g-vs-ghat", seed)
     for idx, g in enumerate(theory.seeded_corpus(seed)):
         tag = f"corpus[{idx:02d}]"
         beta, alpha = equalizers.ghat_stats(g)
         ghat = empty_bisector_graph(g).graph
         profile = degree_profile(g)
-        xi = equalizers.xi_bruteforce(g).value if g.n <= 14 else None
-        if xi is not None:
-            rec.claim(f"{tag}/xi-vs-beta", xi >= beta, xi=xi, beta=beta, **_blob(g))
-        rec.claim(
+        xi = equalizers.xi_bruteforce(g).value
+        report.claim(f"{tag}/xi-vs-beta", xi >= beta, xi=xi, beta=beta, **_blob(g))
+        report.claim(
             f"{tag}/max-degree-vs-alpha",
             profile.max_degree <= alpha,
             max_degree=profile.max_degree,
             alpha=alpha,
             **_blob(g),
         )
-        if g.n != 2:
-            omega = covers.clique_number(g).value
-            rec.claim(
-                f"{tag}/clique-vs-alpha", omega <= alpha, omega=omega, alpha=alpha, **_blob(g)
-            )
-        rec.claim(
+        omega = covers.clique_number(g).value
+        report.claim(
+            f"{tag}/clique-vs-alpha", omega <= alpha, omega=omega, alpha=alpha, **_blob(g)
+        )
+        report.claim(
             f"{tag}/odd-distances",
             all(g.distance(u, v) % 2 == 1 for u, v in ghat.edges),
             **_blob(g),
@@ -368,30 +349,30 @@ def suite_g_vs_ghat(seed: int = 0) -> SuiteReport:
         if low_ecc:
             u = low_ecc[0]
             nbhd = set(g.neighbors(u))
-            rec.claim(
+            report.claim(
                 f"{tag}/ecc2-bipartition",
                 all((a in nbhd) != (b in nbhd) for a, b in ghat.edges),
                 vertex=u,
                 **_blob(g),
             )
-            rec.expect(f"{tag}/ecc2-overlap", equalizers.beta_star(g).value, 0, **_blob(g))
-            report = theory.eccentricity2_case(g, 2)
-            if report is not None and report.exact is not None:
-                rec.expect(
+            report.expect(f"{tag}/ecc2-overlap", equalizers.beta_star(g).value, 0, **_blob(g))
+            ecc2 = theory.eccentricity2_case(g, 2)
+            if ecc2 is not None and ecc2.exact is not None:
+                report.expect(
                     f"{tag}/ecc2-exact",
                     equalizers.xi_corona_structured(g, 2).value,
-                    report.exact,
+                    ecc2.exact,
                     **_blob(g),
                 )
         if profile.max_degree == g.n - 1:
             for n_h in (1, 2, 3):
-                rec.expect(
+                report.expect(
                     f"{tag}/universal/nh={n_h}",
                     equalizers.xi_corona_structured(g, n_h).value,
                     theory.universal_vertex_formula(g, n_h),
                     **_blob(g),
                 )
-    return SuiteReport("g-vs-ghat", seed, rec.checks)
+    return report
 
 
 SUITES = {

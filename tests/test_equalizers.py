@@ -414,7 +414,9 @@ class TestXiCoronaStructured:
 
     def test_witness_lives_in_the_product(self):
         # The witness is written in the layout corona() builds; a minimum
-        # witness stops equalizing without any one of its vertices.
+        # witness stops equalizing without any one of its vertices.  The
+        # copy graph's edges do not matter: the same witness equalizes the
+        # product with K_{n(H)} copies.
         for n in range(2, 6):
             for g in all_connected_graphs(n):
                 for n_h in (1, 2, 3):
@@ -422,6 +424,7 @@ class TestXiCoronaStructured:
                     product = corona(g, empty_graph(n_h))
                     witness = result.witness
                     assert is_distance_equalizer(product, witness)
+                    assert is_distance_equalizer(corona(g, complete_graph(n_h)), witness)
                     assert len(witness) == result.value
                     for v in witness:
                         assert not is_distance_equalizer(product, witness - {v})

@@ -119,6 +119,17 @@ def test_non_integer_parameters_rejected(name, params):
         generate(FamilySpec(name, params))
 
 
+def test_malformed_spec_rejected():
+    # A name that is not a string, or parameters that are not a sequence,
+    # fail in the spec rather than as a TypeError inside generate.
+    with pytest.raises(GraphError, match="must be a sequence"):
+        FamilySpec("path", 5)
+    with pytest.raises(GraphError, match="must be a sequence"):
+        FamilySpec("path", None)
+    with pytest.raises(GraphError, match="must be a string"):
+        FamilySpec(["path"], (3,))
+
+
 def test_generate_dispatch_matches_builders():
     assert generate(FamilySpec("path", (4,))) == path_graph(4)
     assert generate(FamilySpec("complete-bipartite", (2, 3))) == complete_bipartite_graph(2, 3)

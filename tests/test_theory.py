@@ -219,6 +219,30 @@ class TestJoinFormula:
             for n_h in (1, 2, 3):
                 assert xi_corona_structured(joined, n_h).value == g1.n + g2.n
 
+    def test_matches_structured_on_random_joins(self):
+        # Sides of order 1-7, a quarter of them edgeless; the formula holds
+        # whenever one side has no isolated vertex and refuses otherwise.
+        rng = random.Random(3)
+
+        def side():
+            n = rng.randint(1, 7)
+            p = 0.0 if rng.random() < 0.25 else 0.5
+            return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+        checked = 0
+        for _ in range(300):
+            g1, g2 = side(), side()
+            joined = join(g1, g2)
+            isolated = all(min(g.degree(v) for v in range(g.n)) == 0 for g in (g1, g2))
+            for n_h in (1, 2, 3):
+                if isolated:
+                    with pytest.raises(GraphError, match="isolated"):
+                        join_formula(g1, g2, n_h)
+                else:
+                    assert xi_corona_structured(joined, n_h).value == join_formula(g1, g2, n_h)
+                    checked += 1
+        assert checked > 500
+
 
 class TestEccentricity2:
     def test_star_center(self):
