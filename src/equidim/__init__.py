@@ -34,14 +34,7 @@ from .equalizers import (
 from .errors import BudgetError, EquidimError, GraphError
 from .families import FamilySpec, generate
 from .fileio import format_edge_list, parse_edge_list, to_dot
-from .graphs import (
-    INFINITY,
-    DegreeProfile,
-    Graph,
-    corona,
-    degree_profile,
-    join,
-)
+from .graphs import INFINITY, Graph, corona, join
 from .theory import (
     BoundsReport,
     Ecc2Report,
@@ -60,7 +53,6 @@ __all__ = [
     "BoundsReport",
     "BudgetError",
     "CoverResult",
-    "DegreeProfile",
     "Ecc2Report",
     "EmptyBisectorGraph",
     "EquidimError",
@@ -80,7 +72,6 @@ __all__ = [
     "clique_number",
     "closed_formula",
     "corona",
-    "degree_profile",
     "eccentricity2_case",
     "empty_bisector_graph",
     "forward_equalized",

@@ -2,9 +2,11 @@
 
 The bisector of two distinct vertices is the set of vertices equidistant
 from both.  The empty bisector graph lives on the same vertex set as the
-source graph and joins exactly the pairs whose bisector is empty; it is
-materialized as a first-class :class:`~equidim.graphs.Graph` so that the
-cover machinery applies to it unchanged.
+source graph and joins exactly the pairs whose bisector is empty.  The
+solvers read its adjacency rows, :attr:`~equidim.graphs.Graph.ghat_rows`;
+:func:`empty_bisector_graph` builds it as a :class:`~equidim.graphs.Graph`
+only for a caller that asks for one, such as the ``empty-bisector`` command
+and the verification suites.
 """
 
 from __future__ import annotations

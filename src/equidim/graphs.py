@@ -4,11 +4,11 @@ product and the join, each built as a plain :class:`Graph`.
 Three tables are built per graph, each by a bitset BFS from every vertex:
 the packed rows, which hold a vertex's BFS layers in one int, layer d in the
 d-th W-bit chunk (W = 8·⌈n/8⌉), so a pair's bisector mask is one AND and one
-modulo 2^W − 1; the all-pairs distances, also read for eccentricities; and
-the corona tables, the forward masks and the rows of the empty bisector
-graph Ĝ, off which β(Ĝ) is read.  A table that needs a connected graph
-rejects a disconnected one from its own BFS; ``is_connected``, one BFS from
-vertex 0, serves the operations that read no such table first.
+modulo 2^W − 1; the all-pairs distances, whose row maxima are the
+eccentricities; and the corona tables, the forward masks and the rows of
+the empty bisector graph Ĝ, off which β(Ĝ) is read.  A table that needs a
+connected graph rejects a disconnected one from its own BFS; ``is_connected``,
+one BFS from vertex 0, serves the operations that read no such table first.
 
 Vertices are always the integers ``0 .. n-1`` internally.  A graph may carry
 external vertex labels (for instance the 1-indexed names used in input
@@ -17,7 +17,6 @@ files); labels never affect any computation, only display.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, Iterator, Sequence
 
@@ -97,9 +96,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adjacency_bits[v].bit_count()
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adjacency_bits[u] >> v & 1)
-
     def label_of(self, v: int) -> Hashable:
         return self.labels[v] if self.labels is not None else v
 
@@ -170,6 +166,16 @@ class Graph:
 
     def distance(self, u: int, v: int) -> int | float:
         return self.distances[u][v]
+
+    @cached_property
+    def eccentricities(self) -> tuple[int, ...]:
+        """The largest distance from each vertex: the maximum of its
+        :attr:`distances` row.  Connected graphs only: a row that holds
+        :data:`INFINITY` rejects the graph."""
+        eccs = tuple(max(row) for row in self.distances)
+        if INFINITY in eccs:
+            raise GraphError("operation requires a connected graph")
+        return eccs
 
     @cached_property
     def is_connected(self) -> bool:
@@ -279,38 +285,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
-
-
-@dataclass(frozen=True)
-class DegreeProfile:
-    """Per-vertex degrees and eccentricities, with their extrema."""
-
-    degrees: tuple[int, ...]
-    max_degree: int
-    min_degree: int
-    eccentricities: tuple[int, ...]
-    diameter: int
-    radius: int
-
-
-def degree_profile(g: Graph) -> DegreeProfile:
-    """Degrees, eccentricities, diameter and radius of a connected graph.
-
-    Eccentricities are undefined on disconnected graphs, so those are
-    rejected outright.
-    """
-    if not g.is_connected:
-        raise GraphError("degree profile requires a connected graph")
-    degrees = tuple(g.degree(v) for v in range(g.n))
-    eccs = tuple(max(row) for row in g.distances)
-    return DegreeProfile(
-        degrees=degrees,
-        max_degree=max(degrees),
-        min_degree=min(degrees),
-        eccentricities=eccs,
-        diameter=max(eccs),
-        radius=min(eccs),
-    )
 
 
 def corona(g: Graph, h: Graph) -> Graph:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import equalizers
 from .errors import BudgetError, GraphError, check_copy_order
 from .families import FamilySpec, check_arity
-from .graphs import Graph, degree_profile
+from .graphs import Graph
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,6 @@ class FormulaValue:
     which is the one the verification suites trust.
     """
 
-    family: FamilySpec
-    n_h: int
     value: int
     flagged: bool = False
     alternate_value: int | None = None
@@ -122,7 +120,7 @@ def closed_formula(spec: FamilySpec, n_h: int) -> FormulaValue:
         raise GraphError(f"{spec.name} clause needs {stated}, got {list(spec.params)}")
     bistar = spec.name == "bistar"
     alternate = value(n_h, *(p + 1 for p in spec.params)) if bistar else None
-    return FormulaValue(spec, n_h, value(n_h, *spec.params), bistar, alternate)
+    return FormulaValue(value(n_h, *spec.params), bistar, alternate)
 
 
 def xi_equals_order_characterization(g: Graph, n_h: int) -> tuple[bool, str]:
@@ -141,7 +139,7 @@ def two_coloring(g: Graph) -> tuple[frozenset[int], frozenset[int]]:
     """The unique bipartition of a connected bipartite graph (smaller side
     second); rejects non-bipartite input."""
     if not g.is_connected:
-        raise GraphError("two-coloring requires a connected graph")
+        raise GraphError("operation requires a connected graph")
     side = [None] * g.n
     side[0] = 0
     order = [0]
@@ -179,25 +177,25 @@ def join_formula(g1: Graph, g2: Graph, n_h: int) -> int:
 def eccentricity2_case(g: Graph, n_h: int) -> Ecc2Report | None:
     """Bound from a vertex seeing everything within distance two, if any."""
     check_copy_order(n_h)
-    profile = degree_profile(g)
-    qualifying = [v for v in range(g.n) if profile.eccentricities[v] <= 2]
+    qualifying = [v for v in range(g.n) if g.eccentricities[v] <= 2]
     if not qualifying:
         return None
-    upper = min((g.n - profile.degrees[v]) * n_h + profile.degrees[v] for v in qualifying)
+    upper = min((g.n - g.degree(v)) * n_h + g.degree(v) for v in qualifying)
     _, alpha = equalizers.ghat_stats(g)
     exact = None
-    if any(profile.degrees[v] == alpha for v in qualifying):
+    if any(g.degree(v) == alpha for v in qualifying):
         exact = (g.n - alpha) * n_h + alpha
     return Ecc2Report(upper, exact)
 
 
 def universal_vertex_formula(g: Graph, n_h: int) -> int:
-    """Corona dimension when the base graph has a universal vertex."""
+    """Corona dimension when the base graph has a universal vertex, read
+    off the degrees alone."""
     check_copy_order(n_h)
-    profile = degree_profile(g)
-    if g.n < 2 or profile.max_degree != g.n - 1:
+    degrees = [g.degree(v) for v in range(g.n)]
+    if g.n < 2 or max(degrees) != g.n - 1:
         raise GraphError("formula needs a universal vertex in a graph of order >= 2")
-    if profile.min_degree >= 2:
+    if min(degrees) >= 2:
         return g.n
     return n_h + g.n - 1
 

@@ -46,7 +46,7 @@ from equidim.families import (
     fish_graph,
     path_graph,
 )
-from equidim.theory import all_connected_graphs
+from equidim.theory import all_connected_graphs, two_coloring
 
 
 class TestIsDistanceEqualizer:
@@ -468,6 +468,9 @@ DISCONNECTED_CALLS = {
     "empty_bisector_graph": empty_bisector_graph,
     "xi_corona_structured": lambda g: xi_corona_structured(g, 2),
     "k_threshold": k_threshold,
+    "eccentricities": lambda g: g.eccentricities,
+    "eccentricity2_case": lambda g: eccentricity2_case(g, 1),
+    "two_coloring": two_coloring,
 }
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 import oracles
 from conftest import connected_graphs, graph_pairs_for_corona, random_graph
-from equidim import Graph, GraphError, INFINITY, corona, degree_profile, join
+from equidim import Graph, GraphError, INFINITY, corona, join
 from equidim.families import (
     complete_bipartite_graph,
     complete_graph,
@@ -178,11 +178,11 @@ def _check_distance_tables(g):
     assert [list(row) for row in g.distances] == dist
     assert g.is_connected == oracles.is_connected(n, g.edges)
     if not g.is_connected:
-        for table in ("bisector_masks", "forward_masks", "ghat_rows"):
+        for table in ("eccentricities", "bisector_masks", "forward_masks", "ghat_rows"):
             with pytest.raises(GraphError, match="connected"):
                 getattr(g, table)
         return None
-    assert degree_profile(g).eccentricities == tuple(max(row) for row in dist)
+    assert g.eccentricities == tuple(max(row) for row in dist)
     assert [(u, v, _members(mask, n)) for u, v, mask in g.bisector_masks] == [
         (u, v, oracles.bisector_set(dist, u, v)) for u, v in combinations(range(n), 2)
     ]
@@ -305,6 +305,10 @@ class TestCorona:
     def test_k1_base_is_universal(self):
         assert corona(Graph(1), cycle_graph(4)).degree(0) == 4
 
+    def test_k5_corona_max_degree(self):
+        product = corona(complete_graph(5), empty_graph(1))
+        assert max(product.degree(v) for v in range(product.n)) == 5
+
     def test_cross_copy_distance(self):
         g, h = cycle_graph(3), path_graph(2)
         u, w = 3, 6  # vertex 0 of copy 0 and vertex 1 of copy 1
@@ -351,24 +355,19 @@ class TestJoin:
     def test_order_and_cross_edges(self, g1, g2):
         j = join(g1, g2)
         assert j.n == g1.n + g2.n
-        assert all(j.has_edge(u, g1.n + v) for u in range(g1.n) for v in range(g2.n))
+        assert all((u, g1.n + v) in j.edges for u in range(g1.n) for v in range(g2.n))
 
 
-class TestDegreeProfile:
-    def test_k5_corona_max_degree(self):
-        product = corona(complete_graph(5), empty_graph(1))
-        assert degree_profile(product).max_degree == 5
-
+class TestEccentricities:
     def test_c6_eccentricities(self):
-        assert degree_profile(cycle_graph(6)).eccentricities == (3,) * 6
+        assert cycle_graph(6).eccentricities == (3,) * 6
 
     def test_fish_radius(self, fish):
         # Frozen from a BFS/Floyd-Warshall sweep: eccentricities (2,2,2,3,3,3).
         oracle = oracles.floyd_warshall(fish.n, fish.edges)
         assert min(max(row) for row in oracle) == 2
-        profile = degree_profile(fish)
-        assert profile.radius == 2 and profile.diameter == 3
+        assert min(fish.eccentricities) == 2 and max(fish.eccentricities) == 3
 
     def test_disconnected_rejected(self):
-        with pytest.raises(GraphError, match="connected"):
-            degree_profile(Graph(3, [(0, 1)]))
+        with pytest.raises(GraphError, match="^operation requires a connected graph$"):
+            Graph(3, [(0, 1)]).eccentricities

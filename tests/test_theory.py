@@ -281,6 +281,12 @@ class TestUniversalVertex:
     def test_complete(self):
         assert universal_vertex_formula(complete_graph(4), 7) == 4
 
+    def test_reads_degrees_and_runs_no_bfs(self):
+        g = complete_bipartite_graph(1, 4)
+        assert universal_vertex_formula(g, 2) == 6
+        assert "distances" not in g.__dict__
+        assert "is_connected" not in g.__dict__
+
     def test_no_universal_vertex_rejected(self):
         with pytest.raises(GraphError, match="universal"):
             universal_vertex_formula(cycle_graph(4), 1)
