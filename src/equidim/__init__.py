@@ -25,7 +25,6 @@ from .equalizers import (
     forward_equalized,
     is_distance_equalizer,
     k_threshold,
-    mandatory_set,
     xi_bruteforce,
     xi_corona_oracle,
     xi_corona_structured,
@@ -83,7 +82,6 @@ __all__ = [
     "join",
     "join_formula",
     "k_threshold",
-    "mandatory_set",
     "parse_edge_list",
     "seeded_corpus",
     "to_dot",

@@ -187,9 +187,17 @@ def is_distance_equalizer(g: Graph, s) -> bool:
 def xi_bruteforce(g: Graph, max_order: int | None = None) -> EquidimResult:
     """Exact equidistant dimension: the minimum hitting set of the sets
     ``B(u, v) | {u, v}``, with the lexicographically smallest minimum set as
-    witness."""
+    witness.  The budget check runs before the cache, which keys on
+    ``g.unlabelled``: the bounds at each copy order re-read ξ(G)."""
     check_budget(g.n, max_order, MAX_BRUTE_ORDER)
+    return _xi_cached(g.unlabelled)
+
+
+def _xi_solve(g: Graph) -> EquidimResult:
     return EquidimResult(*_min_hitting_subset(g.n, _equalizer_masks(g)))
+
+
+_xi_cached = lru_cache(maxsize=4096)(_xi_solve)
 
 
 def xi_total(g: Graph, max_order: int | None = None) -> EquidimResult:
@@ -219,6 +227,9 @@ def forward_equalized(g: Graph, pair: ForwardPair) -> bool:
 
 
 def _mandatory(fw: tuple[int, ...], umask: int, outside: int) -> int:
+    """The members x of ``umask`` that a valid second set must hold, given
+    that it holds ``outside``: some v in ``outside`` admits no w with
+    d(w, x) = d(w, v) + 1."""
     mandatory = 0
     rest = umask
     while rest:
@@ -227,19 +238,6 @@ def _mandatory(fw: tuple[int, ...], umask: int, outside: int) -> int:
             mandatory |= low
         rest ^= low
     return mandatory
-
-
-def mandatory_set(g: Graph, u) -> frozenset[int]:
-    """Vertices of ``u`` that any valid second set must also contain, given
-    that it already holds everything outside ``u``.
-
-    A member x of ``u`` is mandatory when some outside vertex v admits no w
-    with d(w, x) = d(w, v) + 1.
-    """
-    fw = g.forward_masks  # rejects a disconnected graph before ``u``
-    umask = g.mask(u)
-    outside = ((1 << g.n) - 1) & ~umask
-    return frozenset(_bits(_mandatory(fw, umask, outside)))
 
 
 # -- corona product computations ------------------------------------------------
@@ -294,11 +292,11 @@ def xi_corona_structured(
     on the base graph alone: the minimum of ``|U| * n_h + |L|`` over the
     valid splits (U, L), with full copies over U and L in the base.
 
-    The checks run before the cache, which keys on ``(g, n_h)``.
+    The checks run before the cache, which keys on ``(g.unlabelled, n_h)``.
     """
     check_copy_order(n_h)
     check_budget(g.n, max_order, covers.MAX_EXACT_ORDER)
-    return _corona_result(g, n_h)
+    return _corona_result(g.unlabelled, n_h)
 
 
 @lru_cache(maxsize=4096)
@@ -319,12 +317,12 @@ xi_corona_structured.cache_clear = _corona_result.cache_clear
 
 
 def xi_corona_oracle(g: Graph, h: Graph, max_order: int | None = None) -> EquidimResult:
-    """Exact corona dimension by :func:`xi_bruteforce` on the explicit product
-    graph."""
+    """Exact corona dimension by the ξ search on the explicit product graph,
+    which bypasses the ξ cache: no product is asked for twice."""
     order = g.n * (1 + h.n)
     check_budget(order, max_order, MAX_ORACLE_ORDER)
     # The product is connected iff g is, and its own table checks that.
-    return replace(xi_bruteforce(corona(g, h)), n_h=h.n)
+    return replace(_xi_solve(corona(g, h)), n_h=h.n)
 
 
 # Cached on its own, since the benchmark harness reads its cache_info().
@@ -347,10 +345,17 @@ def beta_star(g: Graph, max_order: int | None = None) -> covers.CoverResult:
 
 def ghat_stats(g: Graph, max_order: int | None = None) -> tuple[int, int]:
     """Cover and independence numbers β(Ĝ) and α(Ĝ) = n - β(Ĝ) of the empty
-    bisector graph, once the order passes the exact-cover cap."""
+    bisector graph.  The cap check runs before the cache of β(Ĝ), which
+    keys on ``g.unlabelled``."""
     check_budget(g.n, max_order, covers.MAX_EXACT_ORDER)
-    beta = g.ghat_beta  # rejects a disconnected graph
+    beta = _ghat_beta(g.unlabelled)
     return beta, g.n - beta
+
+
+@lru_cache(maxsize=4096)
+def _ghat_beta(g: Graph) -> int:
+    # The rows reject a disconnected graph.
+    return covers.min_cover_size(g.ghat_rows, (1 << g.n) - 1)
 
 
 def k_threshold(g: Graph, max_order: int | None = None) -> ThresholdLine:

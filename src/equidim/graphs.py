@@ -6,13 +6,14 @@ the packed rows, which hold a vertex's BFS layers in one int, layer d in the
 d-th W-bit chunk (W = 8·⌈n/8⌉), so a pair's bisector mask is one AND and one
 modulo 2^W − 1; the all-pairs distances, whose row maxima are the
 eccentricities; and the corona tables, the forward masks and the rows of
-the empty bisector graph Ĝ, off which β(Ĝ) is read.  A table that needs a
-connected graph rejects a disconnected one from its own BFS; ``is_connected``,
-one BFS from vertex 0, serves the operations that read no such table first.
+the empty bisector graph Ĝ.  A table that needs a connected graph rejects a
+disconnected one from its own BFS; ``is_connected``, one BFS from vertex 0,
+serves the operations that read no such table first.
 
 Vertices are always the integers ``0 .. n-1`` internally.  A graph may carry
 external vertex labels (for instance the 1-indexed names used in input
-files); labels never affect any computation, only display.
+files); labels never affect any computation, only display, so the solver
+caches key on :attr:`Graph.unlabelled`.
 """
 
 from __future__ import annotations
@@ -98,6 +99,16 @@ class Graph:
 
     def label_of(self, v: int) -> Hashable:
         return self.labels[v] if self.labels is not None else v
+
+    @property
+    def unlabelled(self) -> Graph:
+        """This graph without its labels, on which the solver caches key:
+        ``self`` when it has none, else a twin built on first use."""
+        return self if self.labels is None else self._twin
+
+    @cached_property
+    def _twin(self) -> Graph:
+        return Graph(self.n, self.edges)
 
     def index_of(self, label: Hashable) -> int:
         """The vertex labelled ``label``, matched in type too: ``True`` and
@@ -260,14 +271,6 @@ class Graph:
         about 8% slower on a shared 2-vCPU host.
         """
         return self._forward_and_ghat[1]
-
-    @cached_property
-    def ghat_beta(self) -> int:
-        """The vertex cover number β(Ĝ), read through
-        :func:`equalizers.ghat_stats`, which checks the order cap first."""
-        from . import covers  # covers imports this module
-
-        return covers.min_cover_size(self.ghat_rows, (1 << self.n) - 1)
 
     # -- identity ------------------------------------------------------------
 

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from equidim import Graph
+from equidim import Graph, equalizers
 from equidim.families import (
     chorded_path_graph,
     fish_graph,
@@ -36,6 +36,17 @@ def pendant_triangle():
 @pytest.fixture(scope="session")
 def k5_leaves():
     return k5_leaves_graph()
+
+
+def clear_solver_caches():
+    """Empty every solver result cache, so the next call on any graph solves."""
+    for cache in (
+        equalizers._corona_result,
+        equalizers._xi_cached,
+        equalizers._ghat_beta,
+        equalizers.beta_star,
+    ):
+        cache.cache_clear()
 
 
 def labelset(g, *labels):

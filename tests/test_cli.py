@@ -11,11 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import clear_solver_caches
+
 import equidim
 from equidim import cli, equalizers
 from equidim.cli import main
 from equidim.families import cycle_graph, fish_graph, path_graph
 from equidim.fileio import MAX_INPUT_ORDER, format_edge_list
+from equidim.theory import seeded_corpus
 
 
 @pytest.fixture()
@@ -298,11 +301,21 @@ def test_budget_flag_never_raises_a_cap(capsys, tmp_path, command, graph, budget
     assert "out of budget" in err and f"cap {cap}" in err
 
 
+def test_verify_bounds_solves_xi_once_per_corpus_graph(capsys):
+    # The suite asks for ξ(G) at five copy orders of each corpus graph.
+    clear_solver_caches()
+    code, out, _ = run(capsys, "verify", "bounds", "--seed", "0", "--json")
+    assert code == 0 and json.loads(out)["passed"]
+    info = equalizers._xi_cached.cache_info()
+    distinct = len(set(seeded_corpus(0)))
+    assert distinct <= 50 and info.misses == distinct
+    assert info.hits == 5 * len(seeded_corpus(0)) - distinct
+
+
 def test_commands_share_one_corona_search_per_copy_order(capsys, fish_file):
     # The cache keys on (graph, n(H)) whatever the budget, so every command
     # below reads the first one's n(H) = 1 search.
-    equalizers.beta_star.cache_clear()
-    equalizers.xi_corona_structured.cache_clear()
+    clear_solver_caches()
     for argv in (
         ("beta-star", fish_file, "--budget", "10"),
         ("xi-corona", fish_file, "--nh", "1"),

@@ -23,6 +23,7 @@ from equidim.covers import (
     lexmin_cover,
     min_cover_size,
 )
+from equidim.equalizers import ghat_stats
 from equidim.families import (
     FamilySpec,
     chorded_path_graph,
@@ -268,7 +269,7 @@ class TestFrozenGhatCovers:
         (name, params), beta, witness = self.LADDER[i]
         g = _relabelled(generate(FamilySpec(name, params)), i)
         full = (1 << g.n) - 1
-        assert g.ghat_beta == beta
+        assert ghat_stats(g)[0] == beta
         assert lexmin_cover(g.ghat_rows, full, 0, beta) == witness
         result = vertex_cover_number(empty_bisector_graph(g).graph)
         assert (result.value, result.witness) == (beta, frozenset(_members(witness)))
@@ -280,7 +281,7 @@ class TestFrozenGhatCovers:
         assert g.ghat_rows == tuple(1 << 14 + i for i in range(14)) + tuple(
             1 << i for i in range(14)
         )
-        assert g.ghat_beta == 14
+        assert ghat_stats(g)[0] == 14
         assert lexmin_cover(g.ghat_rows, full, 0, 14) == 0x3FFF
         assert next(iter_cover_masks(g.ghat_rows, 28)) == (14, 0x3FFF)
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import connected_graphs, labelset
+from conftest import clear_solver_caches, connected_graphs, labelset
 from equidim import (
     BudgetError,
     FamilySpec,
@@ -26,7 +26,6 @@ from equidim import (
     is_vertex_cover,
     join_formula,
     k_threshold,
-    mandatory_set,
     universal_vertex_formula,
     vertex_cover_number,
     xi_bruteforce,
@@ -46,6 +45,8 @@ from equidim.families import (
     fish_graph,
     path_graph,
 )
+from equidim.fileio import format_edge_list, parse_edge_list
+from equidim.graphs import _bits
 from equidim.theory import all_connected_graphs, two_coloring
 
 
@@ -289,16 +290,28 @@ class TestForwardEqualized:
         assert got == oracles.forward_equalized(g.n, g.edges, x, y)
 
 
+def _mandatory_set(g, u):
+    # The members of u that a valid L must hold when it holds V minus u.
+    umask = g.mask(u)
+    outside = ((1 << g.n) - 1) & ~umask
+    return frozenset(_bits(equalizers._mandatory(g.forward_masks, umask, outside)))
+
+
 class TestMandatorySet:
     def test_fish_unique_cover_is_mandatory(self, fish):
-        assert mandatory_set(fish, labelset(fish, 4)) == labelset(fish, 4)
+        assert _mandatory_set(fish, labelset(fish, 4)) == labelset(fish, 4)
 
     def test_pendant_triangle(self, pendant_triangle):
         u = labelset(pendant_triangle, 2, 3, 4)
-        assert mandatory_set(pendant_triangle, u) == labelset(pendant_triangle, 2, 3)
+        assert _mandatory_set(pendant_triangle, u) == labelset(pendant_triangle, 2, 3)
+        # With V minus U, L must add the mandatory 2 and 3, and need not add 4.
+        outside = frozenset(range(pendant_triangle.n)) - u
+        for extra, valid in (((2, 3), True), ((2, 4), False), ((3, 4), False)):
+            pair = ForwardPair(u, outside | labelset(pendant_triangle, *extra))
+            assert forward_equalized(pendant_triangle, pair) is valid
 
     def test_whole_vertex_set_never_mandatory(self, fish):
-        assert mandatory_set(fish, frozenset(range(fish.n))) == frozenset()
+        assert _mandatory_set(fish, frozenset(range(fish.n))) == frozenset()
 
 
 class TestBestSplit:
@@ -343,11 +356,11 @@ class TestXiCoronaStructured:
         # Ĝ of C_14 is K_{7,7}; the stream's first cover has t(U) = 0, so
         # the search stops there without reading β(Ĝ).
         g = cycle_graph(14)
-        # The fresh graph equals cached C_14 bases, so the cache is cleared.
-        xi_corona_structured.cache_clear()
+        # The fresh graph equals cached C_14 bases, so the caches are cleared.
+        clear_solver_caches()
         result = xi_corona_structured(g, 2)
         assert result.value == 7 * 2 + 7
-        assert "ghat_beta" not in g.__dict__
+        assert equalizers._ghat_beta.cache_info().misses == 0
 
     @pytest.mark.parametrize("n_h", [1, 2, 3])
     def test_cold_request_pulls_one_cover(self, monkeypatch, n_h):
@@ -364,7 +377,7 @@ class TestXiCoronaStructured:
                 yield item
 
         monkeypatch.setattr(covers, "iter_cover_masks", counted)
-        xi_corona_structured.cache_clear()
+        clear_solver_caches()
         xi_corona_structured(chorded_path_graph(), n_h)
         assert len(pulled) == 1
 
@@ -372,7 +385,7 @@ class TestXiCoronaStructured:
         # The corona tables come from their own BFS pass, which also
         # rejects a disconnected graph, so neither of these is built.
         g = cycle_graph(14)
-        xi_corona_structured.cache_clear()
+        clear_solver_caches()
         xi_corona_structured(g, 2)
         assert "_distance_layers" not in g.__dict__
         assert "is_connected" not in g.__dict__
@@ -461,7 +474,6 @@ DISCONNECTED_CALLS = {
     "forward_equalized": lambda g: forward_equalized(
         g, ForwardPair(frozenset({0}), frozenset({1}))
     ),
-    "mandatory_set": lambda g: mandatory_set(g, {9}),
     "xi_corona_oracle": lambda g: xi_corona_oracle(g, empty_graph(1)),
     "bisector": lambda g: bisector(g, 0, 9),
     "bisector_non_int": lambda g: bisector(g, 0.0, True),
@@ -502,7 +514,6 @@ class TestConnectivityPrecondition:
 #: Every public call that reads a vertex set through ``Graph.mask``.
 VERTEX_SET_CALLS = {
     "is_distance_equalizer": is_distance_equalizer,
-    "mandatory_set": mandatory_set,
     "forward_equalized": lambda g, s: forward_equalized(
         g, ForwardPair(frozenset(s), frozenset(range(g.n)))
     ),
@@ -555,7 +566,7 @@ class TestCoronaCache:
             xi_corona_structured(fish, n_h)
 
     def test_one_search_whatever_the_budget_argument(self, fish):
-        xi_corona_structured.cache_clear()
+        clear_solver_caches()
         xi_corona_structured(fish, 2)
         xi_corona_structured(fish, 2, None)
         xi_corona_structured(fish, 2, max_order=fish.n)
@@ -565,6 +576,62 @@ class TestCoronaCache:
         xi_corona_structured(fish, 2)
         with pytest.raises(BudgetError, match=f"cap {fish.n - 1}"):
             xi_corona_structured(fish, 2, max_order=fish.n - 1)
+
+
+#: The solver result caches, which key on the unlabelled graph.
+SOLVER_CACHES = {
+    "xi": equalizers._xi_cached,
+    "ghat_beta": equalizers._ghat_beta,
+    "corona": equalizers._corona_result,
+}
+
+#: Calls rejected for budget, copy order or connectivity.
+REJECTED_CALLS = {
+    "xi-budget": lambda: xi_bruteforce(path_graph(6), max_order=5),
+    "xi-disconnected": lambda: xi_bruteforce(Graph(6, path_graph(5).edges)),
+    "ghat-budget": lambda: equalizers.ghat_stats(path_graph(6), max_order=5),
+    "ghat-disconnected": lambda: equalizers.ghat_stats(Graph(6, path_graph(5).edges)),
+    "corona-budget": lambda: xi_corona_structured(path_graph(6), 2, max_order=5),
+    "corona-copy-order": lambda: xi_corona_structured(path_graph(6), 0),
+    "corona-disconnected": lambda: xi_corona_structured(Graph(6, path_graph(5).edges), 2),
+}
+
+
+class TestSolverCaches:
+    def test_each_holds_at_most_4096_entries(self):
+        for cache in (*SOLVER_CACHES.values(), beta_star):
+            assert cache.cache_info().maxsize == 4096
+
+    def test_parsed_graph_shares_entries_with_its_unlabelled_twin(self, fish):
+        # The edge list names the fish's vertices 1..6.
+        parsed = parse_edge_list(format_edge_list(fish))
+        twin = Graph(parsed.n, parsed.edges)
+        assert parsed.labels == tuple(range(1, 7)) and parsed != twin
+        assert parsed.unlabelled == twin and twin.unlabelled is twin
+        clear_solver_caches()
+        results = [
+            (xi_bruteforce(g), equalizers.ghat_stats(g), xi_corona_structured(g, 2))
+            for g in (parsed, twin)
+        ]
+        assert results[0] == results[1]
+        for name, cache in SOLVER_CACHES.items():
+            info = cache.cache_info()
+            assert (info.currsize, info.misses, info.hits) == (1, 1, 1), name
+
+    def test_oracle_leaves_the_xi_cache_alone(self):
+        g = cycle_graph(3)
+        xi_bruteforce(g)
+        before = equalizers._xi_cached.cache_info()
+        assert xi_corona_oracle(g, path_graph(2)).value == 3
+        assert equalizers._xi_cached.cache_info() == before
+
+    @pytest.mark.parametrize("call", REJECTED_CALLS.values(), ids=REJECTED_CALLS)
+    def test_rejected_call_caches_nothing(self, call):
+        clear_solver_caches()
+        with pytest.raises((BudgetError, GraphError)):
+            call()
+        for name, cache in SOLVER_CACHES.items():
+            assert cache.cache_info().currsize == 0, name
 
 
 class TestXiCoronaOracle:
@@ -681,8 +748,7 @@ class TestKThreshold:
 
         # A fresh graph with cold result caches, so nothing is reused.
         g = chorded_path_graph()
-        beta_star.cache_clear()
-        xi_corona_structured.cache_clear()
+        clear_solver_caches()
         row_builds = []
         builds = []
         solves = []
@@ -710,7 +776,8 @@ class TestKThreshold:
         monkeypatch.setattr(covers, "min_cover_size", counted_solve)
         line = k_threshold(g)
         assert (line.k, line.threshold, line.slope) == (4, 3, 4)
-        assert row_builds == [g]
+        # The caches key on the unlabelled twin, which builds the rows.
+        assert row_builds == [g.unlabelled]
         # No Ĝ ``Graph`` is built: the search reads the rows.
         assert builds == []
         full_ghat = (g.ghat_rows, (1 << g.n) - 1)

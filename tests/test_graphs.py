@@ -9,6 +9,7 @@ from hypothesis import given, settings
 import oracles
 from conftest import connected_graphs, graph_pairs_for_corona, random_graph
 from equidim import Graph, GraphError, INFINITY, corona, join
+from equidim.equalizers import ghat_stats
 from equidim.families import (
     complete_bipartite_graph,
     complete_graph,
@@ -252,7 +253,7 @@ class TestPerGraphTables:
     )
     def test_frozen_ghat_and_forward_masks(self, g, beta, rows):
         assert g.ghat_rows == rows
-        assert g.ghat_beta == beta
+        assert ghat_stats(g)[0] == beta
         assert g.forward_masks == rows
 
 

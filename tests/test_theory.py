@@ -2,12 +2,12 @@ import random
 
 import pytest
 
+from conftest import clear_solver_caches
 from equidim import (
     BudgetError,
     FamilySpec,
     Graph,
     GraphError,
-    beta_star,
     bipartite_formula,
     bounds_report,
     closed_formula,
@@ -44,8 +44,7 @@ class TestBoundsReport:
 
     def test_one_corona_search_per_copy_order(self, fish):
         # β* is the n(H) = 1 corona result, so the exact value reuses it.
-        beta_star.cache_clear()
-        xi_corona_structured.cache_clear()
+        clear_solver_caches()
         bounds_report(fish, 1)
         info = xi_corona_structured.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
