@@ -198,6 +198,9 @@ def _xi_solve(g: Graph) -> EquidimResult:
 
 
 _xi_cached = lru_cache(maxsize=4096)(_xi_solve)
+# Read and cleared through the public name, as the corona cache is.
+xi_bruteforce.cache_info = _xi_cached.cache_info
+xi_bruteforce.cache_clear = _xi_cached.cache_clear
 
 
 def xi_total(g: Graph, max_order: int | None = None) -> EquidimResult:

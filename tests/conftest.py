@@ -41,8 +41,8 @@ def k5_leaves():
 def clear_solver_caches():
     """Empty every solver result cache, so the next call on any graph solves."""
     for cache in (
-        equalizers._corona_result,
-        equalizers._xi_cached,
+        equalizers.xi_corona_structured,
+        equalizers.xi_bruteforce,
         equalizers._ghat_beta,
         equalizers.beta_star,
     ):

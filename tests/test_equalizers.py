@@ -46,7 +46,6 @@ from equidim.families import (
     path_graph,
 )
 from equidim.fileio import format_edge_list, parse_edge_list
-from equidim.graphs import _bits
 from equidim.theory import all_connected_graphs, two_coloring
 
 
@@ -290,28 +289,24 @@ class TestForwardEqualized:
         assert got == oracles.forward_equalized(g.n, g.edges, x, y)
 
 
-def _mandatory_set(g, u):
-    # The members of u that a valid L must hold when it holds V minus u.
-    umask = g.mask(u)
-    outside = ((1 << g.n) - 1) & ~umask
-    return frozenset(_bits(equalizers._mandatory(g.forward_masks, umask, outside)))
-
-
 class TestMandatorySet:
+    # A member x of U is mandatory when a valid L that holds V minus U must
+    # hold x too, so (U, (V - U) | S) is forward-equalized iff S holds every
+    # mandatory member of U.
     def test_fish_unique_cover_is_mandatory(self, fish):
-        assert _mandatory_set(fish, labelset(fish, 4)) == labelset(fish, 4)
+        u = labelset(fish, 4)
+        assert not forward_equalized(fish, ForwardPair(u, frozenset(range(fish.n)) - u))
 
     def test_pendant_triangle(self, pendant_triangle):
+        # 2 and 3 are mandatory and 4 is not.
         u = labelset(pendant_triangle, 2, 3, 4)
-        assert _mandatory_set(pendant_triangle, u) == labelset(pendant_triangle, 2, 3)
-        # With V minus U, L must add the mandatory 2 and 3, and need not add 4.
         outside = frozenset(range(pendant_triangle.n)) - u
         for extra, valid in (((2, 3), True), ((2, 4), False), ((3, 4), False)):
             pair = ForwardPair(u, outside | labelset(pendant_triangle, *extra))
             assert forward_equalized(pendant_triangle, pair) is valid
 
     def test_whole_vertex_set_never_mandatory(self, fish):
-        assert _mandatory_set(fish, frozenset(range(fish.n))) == frozenset()
+        assert forward_equalized(fish, ForwardPair(frozenset(range(fish.n)), frozenset()))
 
 
 class TestBestSplit:
@@ -580,9 +575,9 @@ class TestCoronaCache:
 
 #: The solver result caches, which key on the unlabelled graph.
 SOLVER_CACHES = {
-    "xi": equalizers._xi_cached,
+    "xi": xi_bruteforce,
     "ghat_beta": equalizers._ghat_beta,
-    "corona": equalizers._corona_result,
+    "corona": xi_corona_structured,
 }
 
 #: Calls rejected for budget, copy order or connectivity.
@@ -621,9 +616,9 @@ class TestSolverCaches:
     def test_oracle_leaves_the_xi_cache_alone(self):
         g = cycle_graph(3)
         xi_bruteforce(g)
-        before = equalizers._xi_cached.cache_info()
+        before = xi_bruteforce.cache_info()
         assert xi_corona_oracle(g, path_graph(2)).value == 3
-        assert equalizers._xi_cached.cache_info() == before
+        assert xi_bruteforce.cache_info() == before
 
     @pytest.mark.parametrize("call", REJECTED_CALLS.values(), ids=REJECTED_CALLS)
     def test_rejected_call_caches_nothing(self, call):
