@@ -77,6 +77,13 @@ def _blob(g: Graph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.edges]}
 
 
+def _corpus(seed: int):
+    """The seeded corpus as ``(tag, g, blob)``: the ``corpus[NN]`` key prefix
+    and one edge-list blob per graph, shared by every check on it."""
+    for idx, g in enumerate(theory.seeded_corpus(seed)):
+        yield f"corpus[{idx:02d}]", g, _blob(g)
+
+
 # -- individual suites ----------------------------------------------------------
 
 
@@ -86,9 +93,7 @@ def suite_table1(seed: int = 0) -> SuiteReport:
     for copy orders one to three."""
     report = SuiteReport("table1", seed)
     g = generate(FamilySpec("fish"))
-    beta, alpha = equalizers.ghat_stats(g)
     ghat = empty_bisector_graph(g).graph
-    overlap = equalizers.beta_star(g).value
     u1 = frozenset({g.index_of(4)})
     l1 = frozenset(range(g.n))
     u2 = frozenset({g.index_of(3), g.index_of(4)})
@@ -102,12 +107,11 @@ def suite_table1(seed: int = 0) -> SuiteReport:
         )
     expected = {1: (6, 7, 6, 7, 6), 2: (7, 8, 8, 8, 8), 3: (8, 9, 10, 9, 9)}
     for n_h, row in expected.items():
-        lower = beta * n_h + alpha + overlap
+        bounds = theory.bounds_report(g, n_h)
         s1 = len(u1) * n_h + len(l1)
         s2 = len(u2) * n_h + len(l2)
-        upper = beta * n_h + g.n
-        exact = equalizers.xi_corona_structured(g, n_h).value
-        report.expect(f"fish/nh={n_h}", (lower, s1, s2, upper, exact), row, **_blob(g))
+        got = (bounds.lower, s1, s2, bounds.upper, bounds.exact)
+        report.expect(f"fish/nh={n_h}", got, row, **_blob(g))
     return report
 
 
@@ -183,12 +187,12 @@ def suite_bounds(seed: int = 0) -> SuiteReport:
             4 * n_h + 4,
             **_blob(chorded),
         )
-    for idx, g in enumerate(theory.seeded_corpus(seed)):
+    for tag, g, blob in _corpus(seed):
         for n_h in range(1, 6):
             report.record(
-                f"corpus[{idx:02d}]/nh={n_h}",
+                f"{tag}/nh={n_h}",
                 lambda g=g, n_h=n_h: {"exact": theory.bounds_report(g, n_h).exact},
-                **_blob(g),
+                **blob,
             )
     return report
 
@@ -225,11 +229,11 @@ def suite_gallai(seed: int = 0) -> SuiteReport:
     """Cover number plus independence number equals the order, checked on
     the empty bisector graphs of the random corpus."""
     report = SuiteReport("gallai", seed)
-    for idx, g in enumerate(theory.seeded_corpus(seed)):
+    for tag, g, blob in _corpus(seed):
         ghat = empty_bisector_graph(g).graph
         beta = covers.vertex_cover_number(ghat).value
         alpha = covers.independence_number(ghat).value
-        report.expect(f"corpus[{idx:02d}]/gallai", alpha + beta, ghat.n, **_blob(g))
+        report.expect(f"{tag}/gallai", alpha + beta, ghat.n, **blob)
     return report
 
 
@@ -237,17 +241,17 @@ def suite_characterization(seed: int = 0) -> SuiteReport:
     """The predicate for the corona dimension equalling the base order agrees
     with the exact value on every corpus instance."""
     report = SuiteReport("characterization", seed)
-    for idx, g in enumerate(theory.seeded_corpus(seed)):
+    for tag, g, blob in _corpus(seed):
         for n_h in range(1, 6):
             predicted, clause = theory.xi_equals_order_characterization(g, n_h)
             exact = equalizers.xi_corona_structured(g, n_h).value
             report.claim(
-                f"corpus[{idx:02d}]/nh={n_h}",
+                f"{tag}/nh={n_h}",
                 predicted == (exact == g.n),
                 predicted=predicted,
                 clause=clause,
                 exact=exact,
-                **_blob(g),
+                **blob,
             )
     return report
 
@@ -256,27 +260,25 @@ def suite_linearity(seed: int = 0) -> SuiteReport:
     """Beyond the threshold the exact values sit exactly on the slope/intercept
     line and use a smallest cover; at or below it they stay on or under it."""
     report = SuiteReport("linearity", seed)
-    for idx, g in enumerate(theory.seeded_corpus(seed)):
+    for tag, g, blob in _corpus(seed):
         line = equalizers.k_threshold(g)
         for n_h in range(1, line.threshold + 5):
             result = equalizers.xi_corona_structured(g, n_h)
             wanted = line.slope * n_h + line.k
             if n_h > line.threshold:
-                report.expect(
-                    f"corpus[{idx:02d}]/on-line/nh={n_h}", result.value, wanted, **_blob(g)
-                )
+                report.expect(f"{tag}/on-line/nh={n_h}", result.value, wanted, **blob)
                 report.claim(
-                    f"corpus[{idx:02d}]/minimum-cover/nh={n_h}",
+                    f"{tag}/minimum-cover/nh={n_h}",
                     len(result.decomposition[0]) == line.slope,
-                    **_blob(g),
+                    **blob,
                 )
             else:
                 report.claim(
-                    f"corpus[{idx:02d}]/under-line/nh={n_h}",
+                    f"{tag}/under-line/nh={n_h}",
                     result.value <= wanted,
                     actual=result.value,
                     line=wanted,
-                    **_blob(g),
+                    **blob,
                 )
     return report
 
@@ -325,28 +327,27 @@ def suite_g_vs_ghat(seed: int = 0) -> SuiteReport:
     odd distances on its edges, and the eccentricity-two and universal-vertex
     special cases."""
     report = SuiteReport("g-vs-ghat", seed)
-    for idx, g in enumerate(theory.seeded_corpus(seed)):
-        tag = f"corpus[{idx:02d}]"
+    for tag, g, blob in _corpus(seed):
         beta, alpha = equalizers.ghat_stats(g)
         ghat = empty_bisector_graph(g).graph
         max_degree = max(g.degree(v) for v in range(g.n))
         xi = equalizers.xi_bruteforce(g).value
-        report.claim(f"{tag}/xi-vs-beta", xi >= beta, xi=xi, beta=beta, **_blob(g))
+        report.claim(f"{tag}/xi-vs-beta", xi >= beta, xi=xi, beta=beta, **blob)
         report.claim(
             f"{tag}/max-degree-vs-alpha",
             max_degree <= alpha,
             max_degree=max_degree,
             alpha=alpha,
-            **_blob(g),
+            **blob,
         )
         omega = covers.clique_number(g).value
         report.claim(
-            f"{tag}/clique-vs-alpha", omega <= alpha, omega=omega, alpha=alpha, **_blob(g)
+            f"{tag}/clique-vs-alpha", omega <= alpha, omega=omega, alpha=alpha, **blob
         )
         report.claim(
             f"{tag}/odd-distances",
             all(g.distance(u, v) % 2 == 1 for u, v in ghat.edges),
-            **_blob(g),
+            **blob,
         )
         low_ecc = [v for v in range(g.n) if g.eccentricities[v] <= 2]
         if low_ecc:
@@ -356,16 +357,16 @@ def suite_g_vs_ghat(seed: int = 0) -> SuiteReport:
                 f"{tag}/ecc2-bipartition",
                 all((a in nbhd) != (b in nbhd) for a, b in ghat.edges),
                 vertex=u,
-                **_blob(g),
+                **blob,
             )
-            report.expect(f"{tag}/ecc2-overlap", equalizers.beta_star(g).value, 0, **_blob(g))
+            report.expect(f"{tag}/ecc2-overlap", equalizers.beta_star(g).value, 0, **blob)
             ecc2 = theory.eccentricity2_case(g, 2)
-            if ecc2 is not None and ecc2.exact is not None:
+            if ecc2.exact is not None:
                 report.expect(
                     f"{tag}/ecc2-exact",
                     equalizers.xi_corona_structured(g, 2).value,
                     ecc2.exact,
-                    **_blob(g),
+                    **blob,
                 )
         if max_degree == g.n - 1:
             for n_h in (1, 2, 3):
@@ -373,7 +374,7 @@ def suite_g_vs_ghat(seed: int = 0) -> SuiteReport:
                     f"{tag}/universal/nh={n_h}",
                     equalizers.xi_corona_structured(g, n_h).value,
                     theory.universal_vertex_formula(g, n_h),
-                    **_blob(g),
+                    **blob,
                 )
     return report
 
@@ -399,8 +400,3 @@ def run_suite(name: str, seed: int = 0) -> SuiteReport:
         )
     return SUITES[name](seed)
 
-
-def run_all(seed: int = 0) -> dict:
-    """Canonical JSON-able aggregate of every suite."""
-    reports = [run_suite(name, seed).to_jsonable() for name in sorted(SUITES)]
-    return {"seed": seed, "passed": all(r["passed"] for r in reports), "reports": reports}

@@ -202,10 +202,13 @@ def universal_vertex_formula(g: Graph, n_h: int) -> int:
 
 # -- seeded random corpus -------------------------------------------------------
 
-#: Sampling parameters: the samplers' resampling limit, the corpus's least
-#: order and edge probabilities, and the bipartite cross-edge probability.
+#: Sampling parameters: the samplers' resampling limit, the corpus's size,
+#: order range and edge probabilities, and the bipartite cross-edge
+#: probability.
 MAX_TRIES = 10000
+CORPUS_SIZE = 50
 CORPUS_MIN_ORDER = 4
+CORPUS_MAX_ORDER = 10
 CORPUS_DENSITIES = (0.3, 0.5, 0.7)
 BIPARTITE_P = 0.6
 
@@ -226,12 +229,12 @@ def random_connected_graph(
     raise GraphError(f"no connected sample after {max_tries} tries (n={n}, p={p})")
 
 
-def seeded_corpus(seed: int, count: int = 50, max_n: int = 10) -> list[Graph]:
+def seeded_corpus(seed: int) -> list[Graph]:
     """Deterministic list of connected random graphs at mixed densities."""
     rng = random.Random(seed)
     out = []
-    for _ in range(count):
-        n = rng.randint(CORPUS_MIN_ORDER, max_n)
+    for _ in range(CORPUS_SIZE):
+        n = rng.randint(CORPUS_MIN_ORDER, CORPUS_MAX_ORDER)
         p = rng.choice(CORPUS_DENSITIES)
         out.append(random_connected_graph(rng, n, p))
     return out

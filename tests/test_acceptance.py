@@ -5,7 +5,6 @@ lines and timings.  All checks are exact equalities; the shared random
 corpus is seeded and deterministic.
 """
 
-import json
 import time
 
 import pytest
@@ -34,7 +33,7 @@ from equidim.families import (
     path_graph,
     pendant_triangle_graph,
 )
-from equidim.suites import run_all
+from equidim.suites import SUITES, run_suite
 from equidim.theory import all_connected_graphs, seeded_corpus, two_coloring
 
 CORPUS_SEED = 20250810
@@ -42,7 +41,7 @@ CORPUS_SEED = 20250810
 
 @pytest.fixture(scope="module")
 def corpus():
-    return seeded_corpus(CORPUS_SEED, count=50, max_n=10)
+    return seeded_corpus(CORPUS_SEED)
 
 
 def _stamp(name, started):
@@ -192,10 +191,9 @@ def test_criterion_7_structural_relations(corpus):
 
 def test_criterion_8_deterministic_json_reports():
     started = time.perf_counter()
-    blobs = []
-    for _ in range(2):
-        payload = run_all(seed=CORPUS_SEED % 1000)
-        blobs.append(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-    assert blobs[0] == blobs[1]
-    assert json.loads(blobs[0])["passed"] is True
+    seed = CORPUS_SEED % 1000
+    for name in sorted(SUITES):
+        first = run_suite(name, seed)
+        assert first.passed, name
+        assert run_suite(name, seed).to_json() == first.to_json(), name
     _stamp("criterion 8: byte-identical reports across repeated runs", started)

@@ -303,15 +303,17 @@ class TestUniversalVertex:
 
 class TestSamplers:
     def test_corpus_is_seed_deterministic(self):
-        a = seeded_corpus(17, count=10)
-        b = seeded_corpus(17, count=10)
+        a = seeded_corpus(17)
+        b = seeded_corpus(17)
         assert a == b
-        c = seeded_corpus(18, count=10)
+        c = seeded_corpus(18)
         assert a != c
 
     def test_corpus_members_connected_and_bounded(self):
-        for g in seeded_corpus(3, count=20, max_n=8):
-            assert g.is_connected and 4 <= g.n <= 8
+        corpus = seeded_corpus(3)
+        assert len(corpus) == 50
+        for g in corpus:
+            assert g.is_connected and 4 <= g.n <= 10
 
     def test_bipartite_sampler(self):
         rng = random.Random(99)
