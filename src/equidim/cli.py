@@ -260,9 +260,19 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=256)
+def _parse_args(parser: argparse.ArgumentParser, argv: tuple[str, ...]) -> argparse.Namespace:
+    """``parser.parse_args(argv)``, memoized: parsing was about a third of
+    a warm graph command.  A usage error, ``--help`` or a bad value
+    exits through ``SystemExit``, which is never cached.  The key holds the
+    parser, so a rebuilt parser parses afresh.  Every call with one command
+    line shares one Namespace, so runners and handlers only read it."""
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(_parser(), tuple(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 2 on bad usage; fold that into the error status.
         return 0 if exc.code in (0, None) else 1

@@ -9,15 +9,29 @@ order above :data:`MAX_INPUT_ORDER` is rejected.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import GraphError
 from .graphs import Graph
 
 #: Largest declared order accepted, checked before any per-vertex allocation.
 MAX_INPUT_ORDER = 1024
+#: Distinct edge-list texts whose parsed graphs are kept.
+MAX_PARSED_TEXTS = 16
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse edge-list text into a labeled :class:`Graph`."""
+    """Parse edge-list text into a labeled :class:`Graph`.
+
+    Equal texts give the one same ``Graph``, from a memo of the
+    :data:`MAX_PARSED_TEXTS` texts most recently parsed, so repeated
+    commands on one input share its unlabelled twin and every table either
+    has built.  A parse error is never cached: it is raised on every call."""
+    return _parse(text)
+
+
+@lru_cache(maxsize=MAX_PARSED_TEXTS)
+def _parse(text: str) -> Graph:
     header: tuple[int, int] | None = None
     raw_edges: list[tuple[int, int, int]] = []  # (label_u, label_v, line_no)
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -69,6 +83,11 @@ def parse_edge_list(text: str) -> Graph:
             raise GraphError(f"line {line_no}: self-loop at {u}")
         edges.append((index[u], index[v]))
     return Graph(n, edges, labels=tuple(labels))
+
+
+# Read and cleared through the public name, as the solver caches are.
+parse_edge_list.cache_info = _parse.cache_info
+parse_edge_list.cache_clear = _parse.cache_clear
 
 
 def format_edge_list(g: Graph) -> str:

@@ -106,12 +106,13 @@ def suite_table1(seed: int = 0) -> SuiteReport:
             and equalizers.forward_equalized(g, equalizers.ForwardPair(umask, lmask)),
         )
     expected = {1: (6, 7, 6, 7, 6), 2: (7, 8, 8, 8, 8), 3: (8, 9, 10, 9, 9)}
+    blob = _blob(g)
     for n_h, row in expected.items():
         bounds = theory.bounds_report(g, n_h)
         s1 = len(u1) * n_h + len(l1)
         s2 = len(u2) * n_h + len(l2)
         got = (bounds.lower, s1, s2, bounds.upper, bounds.exact)
-        report.expect(f"fish/nh={n_h}", got, row, **_blob(g))
+        report.expect(f"fish/nh={n_h}", got, row, **blob)
     return report
 
 
@@ -121,9 +122,10 @@ def suite_fig7(seed: int = 0) -> SuiteReport:
     report = SuiteReport("fig7", seed)
     g = generate(FamilySpec("pendant-triangle"))
     expected = {1: 8, 2: 12, 3: 16, 4: 19, 5: 22, 6: 25}
+    blob = _blob(g)
     for n_h, want in expected.items():
         got = equalizers.xi_corona_structured(g, n_h).value
-        report.expect(f"pendant-triangle/nh={n_h}", got, want, **_blob(g))
+        report.expect(f"pendant-triangle/nh={n_h}", got, want, **blob)
         line = 4 * n_h + 4 if n_h <= 2 else 3 * n_h + 7
         report.expect(f"pendant-triangle/line/nh={n_h}", got, line)
     return report
@@ -152,6 +154,7 @@ def suite_families(seed: int = 0) -> SuiteReport:
     report = SuiteReport("families", seed)
     for spec in _FAMILY_SPECS:
         g = generate(spec)
+        blob = _blob(g)
         for n_h in (1, 2, 3):
             formula = theory.closed_formula(spec, n_h)
             exact = equalizers.xi_corona_structured(g, n_h).value
@@ -163,10 +166,10 @@ def suite_families(seed: int = 0) -> SuiteReport:
                     actual=exact,
                     bipartite_rule=formula.alternate_value,
                     published=formula.value,
-                    **_blob(g),
+                    **blob,
                 )
             else:
-                report.expect(key, exact, formula.value, **_blob(g))
+                report.expect(key, exact, formula.value, **blob)
     return report
 
 
@@ -175,17 +178,18 @@ def suite_bounds(seed: int = 0) -> SuiteReport:
     corpus for copy orders one to five."""
     report = SuiteReport("bounds", seed)
     chorded = generate(FamilySpec("chorded-path"))
+    chorded_blob = _blob(chorded)
     beta, alpha = equalizers.ghat_stats(chorded)
-    report.expect("chorded-path/beta-alpha", (beta, alpha), (4, 3), **_blob(chorded))
+    report.expect("chorded-path/beta-alpha", (beta, alpha), (4, 3), **chorded_blob)
     report.expect(
-        "chorded-path/overlap", equalizers.beta_star(chorded).value, 1, **_blob(chorded)
+        "chorded-path/overlap", equalizers.beta_star(chorded).value, 1, **chorded_blob
     )
     for n_h in (1, 2, 3, 4):
         report.expect(
             f"chorded-path/nh={n_h}",
             equalizers.xi_corona_structured(chorded, n_h).value,
             4 * n_h + 4,
-            **_blob(chorded),
+            **chorded_blob,
         )
     for tag, g, blob in _corpus(seed):
         for n_h in range(1, 6):
@@ -207,20 +211,21 @@ def suite_bipartite(seed: int = 0) -> SuiteReport:
     for idx, g in enumerate(samples):
         big, small = theory.two_coloring(g)
         ghat = empty_bisector_graph(g).graph
+        blob = _blob(g)
         want_edges = {
             (min(u, v), max(u, v)) for u in big for v in small
         }
         report.claim(
             f"bipartite[{idx:02d}]/ghat-complete-bipartite",
             set(ghat.edges) == want_edges,
-            **_blob(g),
+            **blob,
         )
         for n_h in range(1, 5):
             report.expect(
                 f"bipartite[{idx:02d}]/nh={n_h}",
                 equalizers.xi_corona_structured(g, n_h).value,
                 theory.bipartite_formula(g, n_h),
-                **_blob(g),
+                **blob,
             )
     return report
 
@@ -300,12 +305,13 @@ def suite_oracle_equivalence(seed: int = 0) -> SuiteReport:
     }
     for n in range(1, 5):
         for idx, g in enumerate(theory.all_connected_graphs(n)):
+            blob = _blob(g)
             for tag, h in small_h.items():
                 report.expect(
                     f"n={n}[{idx:02d}]/{tag}",
                     equalizers.xi_corona_structured(g, h.n).value,
                     equalizers.xi_corona_oracle(g, h).value,
-                    **_blob(g),
+                    **blob,
                 )
             if n <= 3:
                 values = {
@@ -316,7 +322,7 @@ def suite_oracle_equivalence(seed: int = 0) -> SuiteReport:
                     f"n={n}[{idx:02d}]/order-only",
                     len(set(values.values())) == 1,
                     **values,
-                    **_blob(g),
+                    **blob,
                 )
     return report
 

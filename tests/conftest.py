@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from equidim import Graph, equalizers
+from equidim import Graph, cli, equalizers, fileio
 from equidim.families import (
     chorded_path_graph,
     fish_graph,
@@ -39,12 +39,16 @@ def k5_leaves():
 
 
 def clear_solver_caches():
-    """Empty every solver result cache, so the next call on any graph solves."""
+    """Empty every solver result cache and the two input memos of
+    ``cli.main`` (command lines and edge-list texts), so the next call on
+    any graph parses and solves."""
     for cache in (
         equalizers.xi_corona_structured,
         equalizers.xi_bruteforce,
         equalizers._ghat_beta,
         equalizers.beta_star,
+        cli._parse_args,
+        fileio.parse_edge_list,
     ):
         cache.cache_clear()
 

@@ -341,6 +341,45 @@ def test_threads_flag_is_gone(capsys, fish_file):
     assert code == 1 and out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, stdin, parsed",
+    [(("xi", "-"), "2 1\n0 0\n", 1), (("xi", "-", "--nh", "2"), "2 1\n0 1\n", 0)],
+    ids=["malformed-edge-list", "usage-error"],
+)
+def test_a_failed_request_fails_the_same_way_again(capsys, monkeypatch, argv, stdin, parsed):
+    # Neither memo caches a failure: each call parses and raises again.
+    clear_solver_caches()
+    outcomes = []
+    for _ in range(2):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        outcomes.append(run(capsys, *argv))
+    assert outcomes[0] == outcomes[1]
+    code, out, err = outcomes[0]
+    assert code == 1 and out == ""
+    assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+    assert cli._parse_args.cache_info().currsize == parsed
+    assert cli.parse_edge_list.cache_info().currsize == 0
+
+
+def test_command_line_memo_is_bounded():
+    assert isinstance(cli._parse_args.cache_info().maxsize, int)
+
+
+def test_a_repeated_command_line_reuses_its_namespace(capsys, fish_file):
+    clear_solver_caches()
+    argv = ("xi", fish_file, "--json")
+    for _ in range(3):
+        assert run(capsys, *argv)[0] == 0
+    info = cli._parse_args.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    # A rebuilt parser parses afresh: no Namespace of the old one is used.
+    shared = cli._parse_args(cli._parser(), argv)
+    cli._parser.cache_clear()
+    assert run(capsys, *argv)[0] == 0
+    assert cli._parse_args(cli._parser(), argv) is not shared
+    assert cli._parse_args.cache_info().misses == 2
+
+
 def test_one_parser_serves_consecutive_calls(capsys, fish_file):
     # The parser is built once per process; a call must not see the options
     # of the one before it, nor a usage error in between.

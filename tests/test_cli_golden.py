@@ -114,8 +114,49 @@ def test_every_subcommand_matches_its_golden_output(tmp_path, monkeypatch):
     paths = _write_graphs(tmp_path)
     golden = json.loads(GOLDEN.read_text())
     assert [case["argv"] for case in golden] == cases()
-    for case in golden:
+    # Every case runs twice, in order and then reversed, so each is also
+    # served from warm command-line and edge-list memos.
+    for case in golden + golden[::-1]:
         assert call(case["argv"], paths) == case
+
+
+def changed_namespaces(argvs: list[list[str]], paths: dict[str, str]) -> list[list[str]]:
+    """The argument lists whose memoized Namespace a run changed, compared
+    with a fresh parse.  Every call with one command line shares that
+    Namespace, so runners and handlers must only read it."""
+    changed = []
+    for argv in argvs:
+        filled = tuple(arg.format(**paths) for arg in argv)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                shared = cli._parse_args(cli._parser(), filled)
+            except SystemExit:  # usage errors and --help are not memoized
+                continue
+        call(argv, paths)
+        if vars(shared) != vars(cli._parser().parse_args(filled)):
+            changed.append(argv)
+    return changed
+
+
+def test_no_case_changes_its_namespace(tmp_path):
+    paths = _write_graphs(tmp_path)
+    assert changed_namespaces(cases(), paths) == []
+
+
+def test_a_handler_that_changes_its_namespace_is_caught(tmp_path, monkeypatch):
+    paths = _write_graphs(tmp_path)
+    dist = cli._dist
+
+    def mutating(g, args, budget):
+        args.json = True
+        return dist(g, args, budget)
+
+    monkeypatch.setattr(cli, "_dist", mutating)
+    cli._parser.cache_clear()  # the parser binds the handler when built
+    try:
+        assert changed_namespaces([["dist", "{fish}"]], paths) == [["dist", "{fish}"]]
+    finally:
+        cli._parser.cache_clear()
 
 
 if __name__ == "__main__":

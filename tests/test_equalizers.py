@@ -613,6 +613,25 @@ class TestSolverCaches:
             info = cache.cache_info()
             assert (info.currsize, info.misses, info.hits) == (1, 1, 1), name
 
+    def test_beta_star_keys_on_the_unlabelled_graph(self, fish):
+        # fish names its vertices 1..6, as the parsed edge list does.
+        parsed = parse_edge_list("6 8\n1 3\n3 2\n2 4\n4 1\n1 2\n3 5\n5 6\n6 3\n")
+        assert parsed == fish and parsed is not fish
+        clear_solver_caches()
+        results = {
+            beta_star(fish),
+            beta_star(fish, max_order=8),
+            beta_star(fish, None),
+            beta_star(parsed),
+            beta_star(fish.unlabelled),
+        }
+        assert len(results) == 1
+        info = beta_star.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 4, 1)
+        # The budget check runs before the cache.
+        with pytest.raises(BudgetError):
+            beta_star(fish, max_order=5)
+
     def test_oracle_leaves_the_xi_cache_alone(self):
         g = cycle_graph(3)
         xi_bruteforce(g)

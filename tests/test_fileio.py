@@ -10,7 +10,7 @@ from equidim import (
     parse_edge_list,
     to_dot,
 )
-from equidim.fileio import MAX_INPUT_ORDER
+from equidim.fileio import MAX_INPUT_ORDER, MAX_PARSED_TEXTS
 from equidim.families import fish_graph, hypercube_graph
 
 
@@ -80,8 +80,31 @@ def test_hypercube_labels_fall_back_to_indices():
     ],
 )
 def test_malformed_inputs_report_line(text, fragment):
-    with pytest.raises(GraphError, match=fragment):
-        parse_edge_list(text)
+    # A parse error is never memoized: the second call raises it again.
+    for _ in range(2):
+        with pytest.raises(GraphError, match=fragment):
+            parse_edge_list(text)
+
+
+def test_equal_texts_give_one_graph():
+    parse_edge_list.cache_clear()
+    first = parse_edge_list(FISH_TEXT)
+    # An equal text in a distinct string object, as a second read returns.
+    again = parse_edge_list("".join(list(FISH_TEXT)))
+    assert again is first and again.unlabelled is first.unlabelled
+    # Another text of the same graph parses to its own object.
+    other = parse_edge_list(format_edge_list(first))
+    assert other == first and other is not first
+    info = parse_edge_list.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
+
+
+def test_parse_memo_is_bounded():
+    assert parse_edge_list.cache_info().maxsize == MAX_PARSED_TEXTS
+    parse_edge_list.cache_clear()
+    for n in range(1, MAX_PARSED_TEXTS + 2):
+        parse_edge_list(f"{n} 0\n")
+    assert parse_edge_list.cache_info().currsize == MAX_PARSED_TEXTS
 
 
 def test_dot_export_mentions_every_edge(fish):

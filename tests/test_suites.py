@@ -139,3 +139,34 @@ def test_suite_inputs_are_frozen(seed):
     ]
     assert len(samples) == 30
     assert _digest(samples) == bipartite_digest
+
+
+#: Graphs each suite checks at seed 0: each gets one ``_blob``.
+GRAPHS_PER_SUITE = {
+    "table1": 1,
+    "fig7": 1,
+    "families": 27,
+    "bounds": 51,
+    "bipartite": 30,
+    "gallai": 50,
+    "characterization": 50,
+    "linearity": 50,
+    "oracle-equivalence": 44,
+    "g-vs-ghat": 50,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS_PER_SUITE))
+def test_each_graph_blob_is_built_once(name, monkeypatch):
+    from equidim import suites
+
+    built = []
+
+    def counting(g):
+        built.append(g)
+        return _blob(g)
+
+    monkeypatch.setattr(suites, "_blob", counting)
+    run_suite(name, 0)
+    assert len(built) == GRAPHS_PER_SUITE[name]
+    assert len({id(g) for g in built}) == len(built)
