@@ -86,8 +86,9 @@ def _run_graph(args) -> int:
         raise EquidimError(f"--budget must be positive, got {budget}")
     payload, lines = args.handler(g, args, budget)
     # A payload of None means the output has no JSON form (k-threshold --sweep).
+    # A payload is fresh plain data with no cycle, so the cycle check is off.
     if args.json and payload is not None:
-        lines = [json.dumps(payload, sort_keys=True, separators=(",", ":"))]
+        lines = [json.dumps(payload, sort_keys=True, separators=(",", ":"), check_circular=False)]
     for line in lines:
         print(line)
     return 0

@@ -76,38 +76,39 @@ class ThresholdLine(NamedTuple):
 
 
 def _equalizer_masks(g: Graph) -> list[int]:
-    """``B(u, v) | {u, v}`` for every pair: the sets a distance-equalizer
-    set must meet."""
-    return [mask | 1 << u | 1 << v for u, v, mask in g.bisector_masks]
+    """``B(u, v) | {u, v}`` for every pair, shortest first: the sets a
+    distance-equalizer set must meet, read off ``Graph.pair_masks``."""
+    low = g._fold
+    width = low.bit_length()
+    return [mask & low | mask >> width for mask in g.pair_masks]
 
 
 def _min_hitting_subset(n: int, masks: list[int]) -> tuple[int, frozenset[int]]:
     """Smallest subset of ``0..n-1`` meeting every mask, and the
     lexicographically first of its size.  Every mask must be nonzero.
 
-    Each distinct mask gets a bit, shortest masks lowest, and ``inc[v]``
-    holds the masks containing v.  :func:`_min_hitting_search` runs twice
-    over these tables:
+    Mask i gets bit i, and ``inc[v]`` holds the masks containing v.  Any
+    order is correct; shortest first keeps the searches small.  Two phases:
 
     * sizing: one search over the whole family finds the minimum size k and
       a set of that size, from a disjoint-mask lower bound;
     * witness: the elements are then decided in ascending order, keeping
       ``known``, a set of size k whose elements below v are the ones taken.
       v is taken when it is in ``known``, and left out when it meets no
-      unhit mask (every member of a minimum set meets one).  Otherwise a
-      search over the masks v leaves unhit, with every element up to v
-      excluded and k - len(taken) - 1 elements to spare, decides it: v is
-      taken, and the rest of ``known`` becomes the set found, if one
-      exists.  The last ``known`` is the answer.
+      unhit mask (every member of a minimum set meets one).  Otherwise v is
+      taken, and ``known`` updated, iff k - len(taken) - 1 elements above v
+      (the room) meet the masks v leaves unhit: at once if none are left,
+      never at room 0, by one member of the first mask left at room 1, and
+      by :func:`_min_hitting_search` at room 2 or more.  The last ``known``
+      is the answer.
     """
-    masks = sorted(set(masks), key=int.bit_count)
-    # Bit i * n + v of the table is bit v of mask i, so every n-th digit of
-    # its binary string, from the right end, is a column inc[v].
-    table = 0
-    for i, mask in enumerate(masks):
-        table |= mask << i * n
-    digits = f"{table:0{len(masks) * n}b}"
-    inc = [int(digits[n - 1 - v :: n] or "0", 2) for v in range(n)]
+    # Mask i fills bits [iW, (i+1)W) of one int joined from the masks' bytes
+    # in linear time, so every W-th digit from the right is a column inc[v].
+    width = (n + 7) // 8
+    stride = 8 * width
+    table = int.from_bytes(b"".join([mask.to_bytes(width, "little") for mask in masks]), "little")
+    digits = f"{table:0{len(masks) * stride}b}"
+    inc = [int(digits[stride - 1 - v :: stride] or "0", 2) for v in range(n)]
     # Pairwise-disjoint masks each need their own element.
     packed = low = 0
     for mask in masks:
@@ -125,7 +126,14 @@ def _min_hitting_subset(n: int, masks: list[int]) -> tuple[int, frozenset[int]]:
                 continue
             taken = known & (bit - 1)
             room = size - taken.bit_count() - 1
-            _, found = _min_hitting_search(masks, inc, unhit & ~inc[v], 2 * bit - 1, room + 1, room)
+            left = unhit & ~inc[v]
+            if not left:
+                found = 0
+            elif room < 2:
+                above = masks[(left & -left).bit_length() - 1] & -2 * bit if room else 0
+                found = next((1 << e for e in _bits(above) if not left & ~inc[e]), None)
+            else:
+                _, found = _min_hitting_search(masks, inc, left, 2 * bit - 1, room + 1, room)
             if found is None:
                 continue
             known = taken | bit | found
@@ -208,10 +216,11 @@ def xi_total(g: Graph, max_order: int | None = None) -> EquidimResult:
     sentinel when some bisector is empty (the empty bisector graph has an
     edge)."""
     check_budget(g.n, max_order, MAX_BRUTE_ORDER)
-    masks = [mask for _, _, mask in g.bisector_masks]
-    if not all(masks):
+    table, low = g.pair_masks, g._fold
+    # Shortest first, so an empty B(u, v) would come first.
+    if table and not table[0] & low:
         return EquidimResult(INFINITE, None)
-    return EquidimResult(*_min_hitting_subset(g.n, masks))
+    return EquidimResult(*_min_hitting_subset(g.n, [mask & low for mask in table]))
 
 
 # -- forward-equalized machinery ----------------------------------------------

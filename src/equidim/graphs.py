@@ -2,13 +2,13 @@
 product and the join, each built as a plain :class:`Graph`.
 
 Three tables are built per graph, each by a bitset BFS from every vertex:
-the packed rows, which hold a vertex's BFS layers in one int, layer d in the
-d-th W-bit chunk (W = 8·⌈n/8⌉), so a pair's bisector mask is one AND and one
-modulo 2^W − 1; the all-pairs distances, whose row maxima are the
-eccentricities; and the corona tables, the forward masks and the rows of
-the empty bisector graph Ĝ.  A table that needs a connected graph rejects a
-disconnected one from its own BFS; ``is_connected``, one BFS from vertex 0,
-serves the operations that read no such table first.
+the pair masks, read off packed rows that hold a vertex's BFS layers in one
+int, layer d in the d-th W-bit chunk (W = 8·⌈n/8⌉), so a pair's bisector
+mask is one AND and one modulo 2^W − 1; the all-pairs distances, whose row
+maxima are the eccentricities; and the corona tables, the forward masks and
+the rows of the empty bisector graph Ĝ.  A table that needs a connected
+graph rejects a disconnected one from its own BFS; ``is_connected``, one BFS
+from vertex 0, serves the operations that read no such table first.
 
 Vertices are always the integers ``0 .. n-1`` internally.  A graph may carry
 external vertex labels (for instance the 1-indexed names used in input
@@ -146,11 +146,6 @@ class Graph:
         return (1 << 8 * ((self.n + 7) // 8)) - 1
 
     @cached_property
-    def _distance_layers(self) -> tuple[int, ...]:
-        # The packed BFS row of every vertex, read by the bisector masks.
-        return tuple(self._bfs_row(u) for u in range(self.n))
-
-    @cached_property
     def distances(self) -> tuple[tuple[int | float, ...], ...]:
         """All-pairs shortest path lengths, :data:`INFINITY` for unreachable
         pairs, from a bitset BFS per source that writes each vertex's
@@ -210,19 +205,21 @@ class Graph:
         return (self._bfs_row(u) & self._bfs_row(v)) % self._fold
 
     @cached_property
-    def bisector_masks(self) -> tuple[tuple[int, int, int], ...]:
-        """``(u, v, mask)`` for every pair u < v, where ``mask`` holds the
-        vertices equidistant from u and v.  ``row_u & row_v`` keeps the
-        layers that u and v share, and one modulo by 2^W - 1 folds them
-        into the mask; the mask never equals 2^W - 1, since u is not in it.
+    def pair_masks(self) -> tuple[int, ...]:
+        """One int per pair u < v: B(u, v) in the low W bits, {u, v} above,
+        sorted by popcount: the shortest-first order the ξ and ξ_total
+        searches branch in.  ``(row_u & row_v) % (2^W - 1)`` folds the layers
+        u and v share into B(u, v), never 2^W - 1 as u is not in it.
         Connected graphs only: the row of vertex 0 must hold every vertex."""
-        rows, n = self._distance_layers, self.n
+        n, fold = self.n, self._fold
+        rows = [self._bfs_row(u) for u in range(n)]
         if rows[0].bit_count() != n:
             raise GraphError("operation requires a connected graph")
-        fold = self._fold
-        return tuple(
-            [(u, v, (row & rows[v]) % fold) for u, row in enumerate(rows) for v in range(u + 1, n)]
-        )
+        hi = [1 << v + fold.bit_length() for v in range(n)]
+        pairs = [
+            (rows[u] & rows[v]) % fold | hi[u] | hi[v] for u in range(n) for v in range(u + 1, n)
+        ]
+        return tuple(sorted(pairs, key=int.bit_count))
 
     @cached_property
     def _forward_and_ghat(self) -> tuple[tuple[int, ...], tuple[int, ...]]:

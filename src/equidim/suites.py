@@ -70,7 +70,10 @@ class SuiteReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), sort_keys=True, separators=(",", ":"))
+        # to_jsonable() builds fresh plain data with no cycle to check for.
+        return json.dumps(
+            self.to_jsonable(), sort_keys=True, separators=(",", ":"), check_circular=False
+        )
 
 
 def _blob(g: Graph) -> dict:

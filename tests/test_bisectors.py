@@ -61,7 +61,7 @@ class TestBisector:
         assert bisector(g, 0, 1023) == frozenset()
         assert bisector(g, 0, 1022) == frozenset({511})
         assert "distances" not in g.__dict__
-        assert "_distance_layers" not in g.__dict__
+        assert "pair_masks" not in g.__dict__
 
     @given(connected_graphs(max_n=8))
     @settings(max_examples=40)
@@ -100,7 +100,7 @@ class TestEmptyBisectorGraph:
     def test_reads_the_shared_rows_without_pair_masks(self):
         g = path_graph(64)
         ghat = empty_bisector_graph(g).graph
-        assert "bisector_masks" not in g.__dict__
+        assert "pair_masks" not in g.__dict__
         assert set(ghat.edges) == oracles.empty_bisector_edges(g.n, g.edges)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])

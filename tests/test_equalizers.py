@@ -240,6 +240,57 @@ class TestHittingSetSearch:
         assert all(out & (out + 1) == 0 for out in feasibility)
         assert feasibility == sorted(set(feasibility))
 
+    @pytest.mark.parametrize(
+        "name, xi_calls, total_calls",
+        # With a search at every witness step, ξ / ξ_total took 5 / 0
+        # searches on P18 and 14 / 14 on x042.
+        [("P18", 4, 0), ("x042", 4, 11)],
+    )
+    def test_witness_searches_only_with_room_for_two(
+        self, monkeypatch, name, xi_calls, total_calls
+    ):
+        # A witness step whose room is 0 or 1, or whose vertex leaves no
+        # set unhit, is decided without a search; the first call sizes.
+        search = equalizers._min_hitting_search
+        stops = []
+
+        def recording(masks, inc, unhit, out, best, stop):
+            stops.append(stop)
+            return search(masks, inc, unhit, out, best, stop)
+
+        monkeypatch.setattr(equalizers, "_min_hitting_search", recording)
+        clear_solver_caches()
+        g, xi, total = FROZEN[name]
+        g = Graph(g.n, g.edges)
+        assert _value_and_witness(xi_bruteforce(g)) == xi
+        xi_stops = stops[:]
+        assert _value_and_witness(xi_total(g)) == total
+        total_stops = stops[len(xi_stops):]
+        assert (len(xi_stops), len(total_stops)) == (xi_calls, total_calls)
+        assert all(room >= 2 for room in xi_stops[1:] + total_stops[1:])
+
+    def test_one_sorted_table_serves_xi_and_xi_total(self, monkeypatch):
+        # ξ builds and sorts the pair masks once; ξ_total reads the same
+        # table, and neither search sorts anything.
+        from equidim import graphs
+
+        g, _, _ = FROZEN["x042"]
+        g = Graph(g.n, g.edges)
+        sorts = []
+
+        def counting(*args, **kwargs):
+            sorts.append(kwargs.get("key"))
+            return sorted(*args, **kwargs)
+
+        for module in (graphs, equalizers):
+            monkeypatch.setattr(module, "sorted", counting, raising=False)
+        clear_solver_caches()
+        xi_bruteforce(g)
+        table = g.__dict__["pair_masks"]
+        xi_total(g)
+        assert g.__dict__["pair_masks"] is table and len(table) == 18 * 17 // 2
+        assert sorts == [int.bit_count]
+
     def test_empty_family(self):
         assert _min_hitting_subset(4, []) == (0, frozenset())
 
@@ -382,7 +433,7 @@ class TestXiCoronaStructured:
         g = cycle_graph(14)
         clear_solver_caches()
         xi_corona_structured(g, 2)
-        assert "_distance_layers" not in g.__dict__
+        assert "pair_masks" not in g.__dict__
         assert "is_connected" not in g.__dict__
 
     def test_decomposition_contract(self, fish, pendant_triangle, chorded_path):
@@ -503,7 +554,7 @@ class TestConnectivityPrecondition:
         with pytest.raises(GraphError, match="operation requires a connected graph"):
             bisector(g, 0, 1)
         assert "distances" not in g.__dict__
-        assert "_distance_layers" not in g.__dict__
+        assert "pair_masks" not in g.__dict__
 
 
 #: Every public call that reads a vertex set through ``Graph.mask``.

@@ -170,7 +170,7 @@ def _all_labelled_graphs(n):
 
 
 def _check_distance_tables(g):
-    """The distances, connectivity, eccentricities and pair bisector masks
+    """The distances, connectivity, eccentricities and pair mask table
     of ``g`` against Floyd-Warshall; returns its matrix, or None when ``g``
     is disconnected (every table that needs a connected graph is then
     checked to reject it)."""
@@ -179,14 +179,26 @@ def _check_distance_tables(g):
     assert [list(row) for row in g.distances] == dist
     assert g.is_connected == oracles.is_connected(n, g.edges)
     if not g.is_connected:
-        for table in ("eccentricities", "bisector_masks", "forward_masks", "ghat_rows"):
+        for table in ("eccentricities", "pair_masks", "forward_masks", "ghat_rows"):
             with pytest.raises(GraphError, match="connected"):
                 getattr(g, table)
         return None
     assert g.eccentricities == tuple(max(row) for row in dist)
-    assert [(u, v, _members(mask, n)) for u, v, mask in g.bisector_masks] == [
-        (u, v, oracles.bisector_set(dist, u, v)) for u, v in combinations(range(n), 2)
-    ]
+    # Each entry holds B(u, v) in its low W bits and {u, v} above them,
+    # one entry per pair, in nondecreasing popcount.
+    width = 8 * ((n + 7) // 8)
+    entries = {}
+    for entry in g.pair_masks:
+        u, v = sorted(_members(entry >> width, n))
+        assert entry >> width == 1 << u | 1 << v
+        assert entry & (1 << width) - 1 < 1 << n
+        entries[u, v] = _members(entry, n)
+    assert len(g.pair_masks) == len(entries) == n * (n - 1) // 2
+    assert entries == {
+        (u, v): oracles.bisector_set(dist, u, v) for u, v in combinations(range(n), 2)
+    }
+    counts = [entry.bit_count() for entry in g.pair_masks]
+    assert counts == sorted(counts)
     return dist
 
 
