@@ -64,7 +64,9 @@ def _clique_lower_bound(adj: tuple[int, ...], active: int) -> int:
     return bound
 
 
-def _covers_of_size(adj: tuple[int, ...], active: int, size: int) -> Iterator[int]:
+def _covers_of_size(
+    adj: tuple[int, ...], active: int, size: int, limit: list[int] | None = None
+) -> Iterator[int]:
     """The covers with ``size`` vertices (at most ``|active|``) of the
     subgraph on ``active``, in lexicographic order as sorted tuples.
 
@@ -72,6 +74,11 @@ def _covers_of_size(adj: tuple[int, ...], active: int, size: int) -> Iterator[in
     before "leave v out", which forces v's higher neighbours in.  A branch
     is cut once taken and forced vertices outnumber ``size``, or once the
     undecided ones cannot reach it, so the work follows the covers.
+
+    ``limit``, a one-item list the caller may lower between covers, also
+    cuts a branch once a greedy matching of the taken vertices has
+    ``limit[0]`` edges: each cover U below it is then skipped, as every
+    cover of the subgraph inside U has at least ``limit[0]`` vertices.
     """
     bits, higher, rest = [], [], active
     while rest:
@@ -80,32 +87,40 @@ def _covers_of_size(adj: tuple[int, ...], active: int, size: int) -> Iterator[in
         bits.append(bit)
         higher.append(adj[bit.bit_length() - 1] & rest)
     m = len(bits)
-    # Open "leave v out" branches: (index of v, taken, len(taken), forced).
-    stack = [(0, 0, 0, 0)]
+    # Open "leave v out" branches: (index of v, taken, len(taken), forced,
+    # the matched taken vertices).
+    stack = [(0, 0, 0, 0, 0)]
     while stack:
-        i, taken, count, forced = stack.pop()
+        i, taken, count, forced, matched = stack.pop()
+        # Twice the matching's cut size; 0 when no matching of at most
+        # size / 2 edges can reach it.
+        cut = 2 * limit[0] if limit is not None and 2 * limit[0] <= size else 0
         while i < m:
             bit = bits[i]
             if forced & bit:
-                taken |= bit
                 forced ^= bit
-                count += 1
-                i += 1
-                continue
-            left = forced | higher[i]
-            can_leave = count + left.bit_count() <= size and count + m - i - 1 >= size
-            can_take = count + 1 + forced.bit_count() <= size
-            if not can_take:
-                if not can_leave:
-                    break
-                forced = left
-                i += 1
-                continue
-            if can_leave:
-                stack.append((i + 1, taken, count, left))
+            else:
+                left = forced | higher[i]
+                can_leave = count + left.bit_count() <= size and count + m - i - 1 >= size
+                can_take = count + 1 + forced.bit_count() <= size
+                if not can_take:
+                    if not can_leave:
+                        break
+                    forced = left
+                    i += 1
+                    continue
+                if can_leave:
+                    stack.append((i + 1, taken, count, left, matched))
             taken |= bit
             count += 1
             i += 1
+            if cut:
+                # Match v to its lowest unmatched taken neighbour.
+                free = adj[bit.bit_length() - 1] & taken & ~matched
+                if free:
+                    matched |= bit | free & -free
+                    if matched.bit_count() >= cut:
+                        break
         else:
             yield taken
 
@@ -209,15 +224,19 @@ def clique_number(g: Graph, max_order: int | None = None) -> CoverResult:
     return CoverResult(size, frozenset(_bits(fixed)))
 
 
-def iter_cover_masks(adj: tuple[int, ...], n: int) -> Iterator[tuple[int, int]]:
+def iter_cover_masks(
+    adj: tuple[int, ...], n: int, limit: list[int] | None = None
+) -> Iterator[tuple[int, int]]:
     """Stream ``(size, mask)`` for every vertex cover: sizes nondecreasing,
     covers of one size in lexicographic order (as sorted tuples, the order
-    of ``itertools.combinations``), each cover exactly once.
+    of ``itertools.combinations``), each cover exactly once.  With
+    ``limit``, the covers U whose own subgraph has a matching of
+    ``limit[0]`` edges may be skipped (see :func:`_covers_of_size`).
 
     Sizes start at the clique-partition lower bound, below which no cover
     exists; each size is one :func:`_covers_of_size`.
     """
     full = (1 << n) - 1
     for size in range(_clique_lower_bound(adj, full), n + 1):
-        for mask in _covers_of_size(adj, full, size):
+        for mask in _covers_of_size(adj, full, size, limit):
             yield size, mask

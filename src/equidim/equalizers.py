@@ -10,7 +10,8 @@ step-ahead witness for every pair in (U minus L) x (L minus U).  For a fixed
 U the cheapest valid L is (V minus U) plus a minimum cover T of the part of
 the empty bisector graph inside U, subject to T containing the vertices of U
 that are forced into L; so the search is a stream over covers U with one
-small exact subproblem each.
+small exact subproblem each.  One such stream per graph, the staircase,
+answers every copy order, β(Ĝ) and the overlap minimum β*.
 """
 
 from __future__ import annotations
@@ -21,16 +22,13 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import covers
-from .errors import BudgetError, GraphError, check_budget, check_copy_order
+from .errors import GraphError, check_budget, check_copy_order
 from .graphs import Graph, _bits, corona
 
 #: Order cap for the exact hitting-set searches (ξ and ξ_total) on one graph.
 MAX_BRUTE_ORDER = 18
 #: Order cap for the explicit corona product accepted by the oracle.
 MAX_ORACLE_ORDER = 14
-#: Default order cap for the forward-overlap minimization, which may visit
-#: every vertex cover of Ĝ with fewer than α(Ĝ) + β* vertices.
-MAX_BETA_STAR_ORDER = 16
 
 #: Sentinel value of the total variant when no finite set exists.
 INFINITE = math.inf
@@ -69,7 +67,10 @@ class ThresholdLine(NamedTuple):
     k: int
     threshold: int
     slope: int
-    threshold_bound: str  # "exact" or "independence-only"
+    # Always "exact": β* is solved at every order the cover cap accepts.
+    # The field stays because k-threshold's JSON carries it, which the
+    # benchmark's cli-corpus digests and tests/cli_golden.json pin.
+    threshold_bound: str
 
 
 # -- the defining predicate and the hitting-set search ---------------------------
@@ -255,46 +256,48 @@ def _mandatory(fw: tuple[int, ...], umask: int, outside: int) -> int:
 # -- corona product computations ------------------------------------------------
 
 
-def _best_split(g: Graph, n_h: int) -> tuple[int, int, int]:
-    """``(cost, U, L)`` as masks: the first split in stream order minimizing
-    ``cost = |U| * n_h + |L|``.
+@lru_cache(maxsize=4096)
+def _staircase(g: Graph) -> tuple[tuple[int, int, int, int], ...]:
+    """The steps ``(s, T(s), U, L)``, sets as masks, at which T falls below
+    its value at every smaller s.
 
     U ranges over the vertex covers of the empty bisector graph and L is
     (V minus U) plus t(U) vertices of U: the smallest cover of the empty
-    bisector graph inside U that holds the mandatory vertices of U.  Covers
-    stream in nondecreasing size, so the first optimum found realizes the
-    tie-break (smallest |U|, then lexicographic U, then lexicographic L).
+    bisector graph inside U that holds the mandatory vertices of U.  T(s)
+    is the least t(U) over the covers of size s, reached first at U in
+    stream order, with L lexicographically first.  A split costs
+    ``n + |U| * (n(H) - 1) + t(U)``, so at every copy order the first
+    cheapest split in stream order is a step's.
 
-    L is itself a cover, so |L| >= β(Ĝ), the size of the first cover
-    streamed, and t(U) >= |U| - α(Ĝ).  A split therefore costs at least its
-    floor ``|U| * n_h + (n - |U|) + max(0, |U| - α)``, which never falls
-    along the stream.  So the search stops before a split whose floor is at
-    least the best cost, and right after an improving split that costs its
-    floor: no later split is cheaper.
+    The stream's limit, the least t(U) so far, skips each cover U whose own
+    subgraph has a matching of that size, a lower bound on t(U).
+    As L is a cover, t(U) >= |U| - α(Ĝ), α(Ĝ) being n minus the size of
+    the first cover; so the stream stops once that floor or 0 reaches the
+    least t(U).
     """
+    # The first table the search reads rejects a disconnected graph.
     n = g.n
     adj = g.ghat_rows
     full = (1 << n) - 1
     fw = g.forward_masks
-
-    best: tuple[int, int, int] | None = None
-    for size, umask in covers.iter_cover_masks(adj, n):
-        if best is None:
+    # t(U) <= n, so the first cover sets a step; a size's later step replaces it.
+    limit = [n + 1]
+    steps: dict[int, tuple[int, int, int, int]] = {}
+    for size, umask in covers.iter_cover_masks(adj, n, limit):
+        if not steps:
             alpha = n - size
-        base = size * n_h + (n - size)
-        floor = base + max(0, size - alpha)
-        if best is not None and floor >= best[0]:
+        elif size - alpha >= limit[0]:
             break
         outside = full & ~umask
         mandatory = _mandatory(fw, umask, outside)
         t = mandatory.bit_count() + covers.min_cover_size(adj, umask & ~mandatory)
-        cost = base + t
-        if best is None or cost < best[0]:
-            best = (cost, umask, outside | covers.lexmin_cover(adj, umask, mandatory, t))
-            if cost == floor:
+        if t < limit[0]:
+            limit[0] = t
+            lower = outside | covers.lexmin_cover(adj, umask, mandatory, t)
+            steps[size] = (size, t, umask, lower)
+            if t <= max(0, size - alpha):
                 break
-    assert best is not None, "the pair (any cover, all vertices) is always valid"
-    return best
+    return tuple(steps.values())
 
 
 def xi_corona_structured(
@@ -313,14 +316,14 @@ def xi_corona_structured(
 
 @lru_cache(maxsize=4096)
 def _corona_result(g: Graph, n_h: int) -> EquidimResult:
-    # The first table the search reads rejects a disconnected graph.
     n = g.n
-    cost, umask, lmask = _best_split(g, n_h)
+    # The cheapest step; a tie goes to the smaller U, streamed first.
+    size, t, umask, lmask = min(_staircase(g), key=lambda step: step[0] * (n_h - 1) + step[1])
     upper = frozenset(_bits(umask))
     lower = frozenset(_bits(lmask))
     # L in the base plus the full copy over each i in U, as corona() lays it out.
     witness = lower.union(*(range(n + i * n_h, n + (i + 1) * n_h) for i in upper))
-    return EquidimResult(cost, witness, (upper, lower), n_h)
+    return EquidimResult(n + size * (n_h - 1) + t, witness, (upper, lower), n_h)
 
 
 # The benchmark harness reads and clears the cache through the public name.
@@ -342,67 +345,46 @@ def beta_star(g: Graph, max_order: int | None = None) -> covers.CoverResult:
     bisector graph that jointly cover all vertices and admit the step-ahead
     witnesses.
 
-    The overlap of a split is t(U), so this is the corona result at
-    ``n_h = 1``, whose value is n + t(U): the overlap is that value minus
-    n, with U & L as witness and (U, L) as the pair.  It may visit every
-    cover below its floor, hence the tighter default budget.  The budget
-    check runs before the cache, which keys on ``g.unlabelled``.
+    The overlap of a split is t(U), so this is the last step of the
+    staircase, the least T, with U & L as witness and (U, L) as the pair.
+    The budget check runs before the staircase cache, which keys on
+    ``g.unlabelled`` and is read and cleared through this name.
     """
-    check_budget(g.n, max_order, MAX_BETA_STAR_ORDER)
-    return _beta_star_result(g.unlabelled)
-
-
-@lru_cache(maxsize=4096)
-def _beta_star_result(g: Graph) -> covers.CoverResult:
-    result = xi_corona_structured(g, 1)
-    upper, lower = result.decomposition
-    return covers.CoverResult(result.value - g.n, upper & lower, result.decomposition)
+    check_budget(g.n, max_order, covers.MAX_EXACT_ORDER)
+    _, t, umask, lmask = _staircase(g.unlabelled)[-1]
+    upper = frozenset(_bits(umask))
+    lower = frozenset(_bits(lmask))
+    return covers.CoverResult(t, upper & lower, (upper, lower))
 
 
 # The benchmark harness reads and clears the cache through the public name.
-beta_star.cache_info = _beta_star_result.cache_info
-beta_star.cache_clear = _beta_star_result.cache_clear
+beta_star.cache_info = _staircase.cache_info
+beta_star.cache_clear = _staircase.cache_clear
 
 
 def ghat_stats(g: Graph, max_order: int | None = None) -> tuple[int, int]:
     """Cover and independence numbers β(Ĝ) and α(Ĝ) = n - β(Ĝ) of the empty
-    bisector graph.  The cap check runs before the cache of β(Ĝ), which
-    keys on ``g.unlabelled``."""
+    bisector graph: β(Ĝ) is the size of the staircase's first step.  The
+    cap check runs before the staircase cache, which keys on
+    ``g.unlabelled``."""
     check_budget(g.n, max_order, covers.MAX_EXACT_ORDER)
-    beta = _ghat_beta(g.unlabelled)
+    beta = _staircase(g.unlabelled)[0][0]
     return beta, g.n - beta
-
-
-@lru_cache(maxsize=4096)
-def _ghat_beta(g: Graph) -> int:
-    # The rows reject a disconnected graph.
-    return covers.min_cover_size(g.ghat_rows, (1 << g.n) - 1)
 
 
 def k_threshold(g: Graph, max_order: int | None = None) -> ThresholdLine:
     """Slope, intercept and validity threshold of the eventual line
-    ``xi = slope * n(H) + k``.
-
-    The exact threshold needs the overlap minimum; when that is over budget
-    the independence number of the empty bisector graph is used instead,
-    which is always at least the exact threshold.
-    """
+    ``xi = slope * n(H) + k``: the slope is β(Ĝ), the threshold
+    ``min(α(Ĝ), β(Ĝ) - β* + 1)``, and k is read off the staircase one copy
+    order past the threshold."""
     beta, alpha = ghat_stats(g, max_order)
-    overlap = 0
-    try:
-        bstar = beta_star(g)
-        overlap = bstar.value
-        threshold = min(alpha, beta - overlap + 1)
-        bound = "exact"
-    except BudgetError:
-        threshold = alpha
-        bound = "independence-only"
-    slope = beta
-    probe = xi_corona_structured(g, threshold + 1)
-    k = probe.value - slope * (threshold + 1)
+    steps = _staircase(g.unlabelled)
+    overlap = steps[-1][1]
+    threshold = min(alpha, beta - overlap + 1)
+    probe = g.n + min(size * threshold + t for size, t, _, _ in steps)
+    k = probe - beta * (threshold + 1)
     if not alpha + overlap <= k <= g.n:
         raise AssertionError(
             f"intercept {k} escapes its proven range [{alpha + overlap}, {g.n}]"
         )
-    return ThresholdLine(k, threshold, slope, bound)
-
+    return ThresholdLine(k, threshold, beta, "exact")

@@ -20,15 +20,15 @@ from .graphs import Graph
 @dataclass(frozen=True)
 class BoundsReport:
     """All general bounds next to the exact value for one base graph and one
-    copy order.  Fields are ``None`` when their computation was skipped for
-    budget reasons; present values always satisfy
-    ``floor <= exact`` and ``lower_weak <= lower <= exact <= upper <= upper_via_xi``.
+    copy order.  Only ``upper_via_xi`` can be ``None``: ξ(G) is skipped
+    above its own order cap.  The values always satisfy ``floor <= exact``
+    and ``lower_weak <= lower <= exact <= upper <= upper_via_xi``.
     """
 
     n_h: int
     floor: int
     lower_weak: int
-    lower: int | None
+    lower: int
     upper: int
     upper_via_xi: int | None
     exact: int
@@ -66,10 +66,7 @@ def bounds_report(g: Graph, n_h: int) -> BoundsReport:
     beta, alpha = equalizers.ghat_stats(g)
     floor = g.n
     lower_weak = beta * n_h + alpha
-    try:
-        lower = lower_weak + equalizers.beta_star(g).value
-    except BudgetError:
-        lower = None
+    lower = lower_weak + equalizers.beta_star(g).value
     upper = beta * n_h + g.n
     try:
         upper_via_xi = equalizers.xi_bruteforce(g).value * n_h + g.n
@@ -82,9 +79,7 @@ def bounds_report(g: Graph, n_h: int) -> BoundsReport:
 
 
 def _assert_chain(r: BoundsReport) -> None:
-    ok = r.floor <= r.exact and r.lower_weak <= r.exact <= r.upper
-    if r.lower is not None:
-        ok = ok and r.lower_weak <= r.lower <= r.exact
+    ok = r.floor <= r.exact and r.lower_weak <= r.lower <= r.exact <= r.upper
     if r.upper_via_xi is not None:
         ok = ok and r.upper <= r.upper_via_xi
     if not ok:

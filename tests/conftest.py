@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from equidim import Graph, cli, equalizers, fileio
+from equidim import Graph, GraphError, cli, equalizers, fileio
 from equidim.families import (
     chorded_path_graph,
     fish_graph,
@@ -11,6 +11,7 @@ from equidim.families import (
     k5_leaves_graph,
     pendant_triangle_graph,
 )
+from equidim.theory import random_connected_graph
 
 
 @pytest.fixture(scope="session")
@@ -45,12 +46,28 @@ def clear_solver_caches():
     for cache in (
         equalizers.xi_corona_structured,
         equalizers.xi_bruteforce,
-        equalizers._ghat_beta,
         equalizers.beta_star,
         cli._parse_args,
         fileio.parse_edge_list,
     ):
         cache.cache_clear()
+
+
+def hard_draws(count):
+    """The first ``count`` graphs of the seeded hard corona-search recipe,
+    where draw k is entry k - 1: from ``random.Random(11)``, each draw picks
+    n in {18, 20, ..., 28} and an edge probability in [0.08, 0.22]; draws
+    that find no connected sample are skipped and not counted."""
+    rng = random.Random(11)
+    out = []
+    while len(out) < count:
+        n = rng.choice((18, 20, 22, 24, 26, 28))
+        p = rng.uniform(0.08, 0.22)
+        try:
+            out.append(random_connected_graph(rng, n, p, max_tries=200))
+        except GraphError:
+            continue
+    return out
 
 
 def labelset(g, *labels):

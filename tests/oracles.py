@@ -8,7 +8,9 @@ construction instead of the arithmetic layout.
 :func:`forward_and_ghat_from_layers` is a reference rather than an oracle:
 the walk over distance layers that the package's one-pass forward-mask and
 Ĝ-row BFS replaced, kept to check that pass against.  It walks the layers
-that :func:`distance_layers` reads off Floyd-Warshall.
+that :func:`distance_layers` reads off Floyd-Warshall.  :func:`best_split`
+is a reference too: the cover search per copy order that the package's
+staircase replaced, run on the package's unbounded cover stream.
 """
 
 from __future__ import annotations
@@ -287,3 +289,48 @@ def forward_and_ghat_from_layers(n, layers):
             prev = layer
     full = (1 << n) - 1
     return tuple(fw), tuple(full & ~mask for mask in near)
+
+
+def best_split(g, n_h):
+    """``(cost, U, L)`` as masks: the first split in stream order minimizing
+    ``cost = |U| * n_h + |L|``.
+
+    U ranges over the vertex covers of the empty bisector graph and L is
+    (V minus U) plus t(U) vertices of U: the smallest cover of the empty
+    bisector graph inside U that holds the mandatory vertices of U.  Covers
+    stream in nondecreasing size, so the first optimum found realizes the
+    tie-break (smallest |U|, then lexicographic U, then lexicographic L).
+
+    L is itself a cover, so |L| >= β(Ĝ), the size of the first cover
+    streamed, and t(U) >= |U| - α(Ĝ).  A split therefore costs at least its
+    floor ``|U| * n_h + (n - |U|) + max(0, |U| - α)``, which never falls
+    along the stream.  So the search stops before a split whose floor is at
+    least the best cost, and right after an improving split that costs its
+    floor: no later split is cheaper.
+    """
+    from equidim import covers
+    from equidim.equalizers import _mandatory
+
+    n = g.n
+    adj = g.ghat_rows
+    full = (1 << n) - 1
+    fw = g.forward_masks
+
+    best = None
+    for size, umask in covers.iter_cover_masks(adj, n):
+        if best is None:
+            alpha = n - size
+        base = size * n_h + (n - size)
+        floor = base + max(0, size - alpha)
+        if best is not None and floor >= best[0]:
+            break
+        outside = full & ~umask
+        mandatory = _mandatory(fw, umask, outside)
+        t = mandatory.bit_count() + covers.min_cover_size(adj, umask & ~mandatory)
+        cost = base + t
+        if best is None or cost < best[0]:
+            best = (cost, umask, outside | covers.lexmin_cover(adj, umask, mandatory, t))
+            if cost == floor:
+                break
+    assert best is not None, "the pair (any cover, all vertices) is always valid"
+    return best

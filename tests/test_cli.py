@@ -141,12 +141,41 @@ def test_k_threshold_sweep_never_solves_beta_star(capsys, fish_file, monkeypatch
     assert out.splitlines() == ["nh,xi", "1,6", "2,8"]
 
 
-def test_k_threshold_independence_only_bound(capsys, tmp_path):
-    path = tmp_path / "p17.edges"
-    path.write_text(format_edge_list(path_graph(17)))
+@pytest.mark.parametrize(
+    "n, line",
+    [(17, "xi = 8*n(H) + 9 for n(H) > 9"), (28, "xi = 14*n(H) + 14 for n(H) > 14")],
+    ids=["P17", "P28"],
+)
+def test_k_threshold_exact_bound_up_to_the_cover_cap(capsys, tmp_path, n, line):
+    path = tmp_path / "p.edges"
+    path.write_text(format_edge_list(path_graph(n)))
     code, out, _ = run(capsys, "k-threshold", str(path))
     assert code == 0
-    assert out == "xi = 8*n(H) + 9 for n(H) > 9 (threshold bound: independence-only)\n"
+    assert out == f"{line} (threshold bound: exact)\n"
+
+
+def test_k_threshold_sweep_streams_covers_once(capsys, tmp_path, monkeypatch):
+    # One staircase answers every copy order of the sweep.
+    from equidim import covers
+    from equidim.families import pendant_triangle_graph
+
+    stream = covers.iter_cover_masks
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return stream(*args)
+
+    path = tmp_path / "pt.edges"
+    path.write_text(format_edge_list(pendant_triangle_graph()))
+    monkeypatch.setattr(covers, "iter_cover_masks", counted)
+    clear_solver_caches()
+    code, out, _ = run(capsys, "k-threshold", str(path), "--sweep", "1..40")
+    rows = out.splitlines()
+    assert code == 0 and len(rows) == 41
+    # fig7's lines 3n(H) + 7 and 4n(H) + 4 cross at n(H) = 3.
+    assert rows[1:4] == ["1,8", "2,12", "3,16"] and rows[-1] == "40,127"
+    assert len(calls) == 1
 
 
 def test_forward_check(capsys, tmp_path):
@@ -290,7 +319,7 @@ def test_budget_flag_only_lowers(capsys, fish_file):
 
 @pytest.mark.parametrize(
     "command, graph, budget, cap",
-    [("xi", path_graph(20), "25", 18), ("beta-star", cycle_graph(20), "28", 16)],
+    [("xi", path_graph(20), "25", 18), ("beta-star", cycle_graph(29), "40", 28)],
     ids=["xi", "beta-star"],
 )
 def test_budget_flag_never_raises_a_cap(capsys, tmp_path, command, graph, budget, cap):
@@ -313,8 +342,9 @@ def test_verify_bounds_solves_xi_once_per_corpus_graph(capsys):
 
 
 def test_commands_share_one_corona_search_per_copy_order(capsys, fish_file):
-    # The cache keys on (graph, n(H)) whatever the budget, so every command
-    # below reads the first one's n(H) = 1 search.
+    # The caches key on the graph (and n(H)) whatever the budget, so every
+    # command below reads one staircase, and the n(H) = 1 commands one
+    # corona entry.
     clear_solver_caches()
     for argv in (
         ("beta-star", fish_file, "--budget", "10"),
@@ -325,6 +355,7 @@ def test_commands_share_one_corona_search_per_copy_order(capsys, fish_file):
         ("bounds", fish_file, "--nh", "1"),
     ):
         assert run(capsys, *argv)[0] == 0
+    assert equalizers.beta_star.cache_info().misses == 1
     assert equalizers.xi_corona_structured.cache_info().misses == 1
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import clear_solver_caches, connected_graphs, labelset
+from conftest import clear_solver_caches, connected_graphs, hard_draws, labelset
 from equidim import (
     BudgetError,
     FamilySpec,
@@ -360,14 +360,56 @@ class TestMandatorySet:
         assert forward_equalized(fish, ForwardPair(frozenset(range(fish.n)), frozenset()))
 
 
+def _staircase_split(g, n_h):
+    """``(cost, U, L)`` as masks, read off the staircase at copy order n_h."""
+    result = xi_corona_structured(g, n_h)
+    return (result.value, *map(g.mask, result.decomposition))
+
+
+def _leaves_on_complete(k):
+    """K_k with a pendant leaf on each vertex; leaf of v is k + v."""
+    clique = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    return Graph(2 * k, clique + [(v, k + v) for v in range(k)])
+
+
 class TestBestSplit:
     def test_matches_pair_scan_oracle(self):
         # Every connected labelled graph of order at most 5, 772 in all.
         for n in range(1, 6):
             for g in all_connected_graphs(n):
-                for n_h in (1, 2, 3):
+                for n_h in (1, 2, 3, 9):
                     want = oracles.corona_split(g.n, g.edges, n_h)
-                    assert equalizers._best_split(g, n_h) == want, (g.edges, n_h)
+                    assert _staircase_split(g, n_h) == want, (g.edges, n_h)
+
+    @pytest.mark.parametrize("draw", [82, 95, 113])
+    def test_matches_unbounded_search_on_hard_draws(self, draw):
+        g = hard_draws(draw)[-1]
+        for n_h in range(1, 6):
+            assert _staircase_split(g, n_h) == oracles.best_split(g, n_h), n_h
+
+    def test_matches_unbounded_search_on_leaves_on_k10(self):
+        g = _leaves_on_complete(10)
+        for n_h in range(1, 6):
+            assert _staircase_split(g, n_h) == oracles.best_split(g, n_h), n_h
+
+    @pytest.mark.parametrize("draw, pulled", [(160, 39), (95, 2)])
+    def test_overlap_pulls_few_covers_on_hard_draws(self, monkeypatch, draw, pulled):
+        # The unbounded n(H) = 1 search pulls 332,935 covers on draw 160 and
+        # 37,069 on draw 95; the matching limit skips nearly all of them.
+        from equidim import covers
+
+        stream = covers.iter_cover_masks
+        count = [0]
+
+        def counted(*args):
+            for item in stream(*args):
+                count[0] += 1
+                yield item
+
+        monkeypatch.setattr(covers, "iter_cover_masks", counted)
+        clear_solver_caches()
+        assert beta_star(hard_draws(draw)[-1]).value == 1
+        assert count[0] == pulled
 
 
 class TestXiCoronaStructured:
@@ -400,13 +442,16 @@ class TestXiCoronaStructured:
 
     def test_cold_request_solves_no_separate_ghat_cover(self):
         # Ĝ of C_14 is K_{7,7}; the stream's first cover has t(U) = 0, so
-        # the search stops there without reading β(Ĝ).
+        # the staircase stops there, and β(Ĝ) is its one step's size.
         g = cycle_graph(14)
         # The fresh graph equals cached C_14 bases, so the caches are cleared.
         clear_solver_caches()
         result = xi_corona_structured(g, 2)
         assert result.value == 7 * 2 + 7
-        assert equalizers._ghat_beta.cache_info().misses == 0
+        assert equalizers.ghat_stats(g) == (7, 7)
+        info = beta_star.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        assert [step[:2] for step in equalizers._staircase(g)] == [(7, 0)]
 
     @pytest.mark.parametrize("n_h", [1, 2, 3])
     def test_cold_request_pulls_one_cover(self, monkeypatch, n_h):
@@ -624,10 +669,11 @@ class TestCoronaCache:
             xi_corona_structured(fish, 2, max_order=fish.n - 1)
 
 
-#: The solver result caches, which key on the unlabelled graph.
+#: The solver result caches, which key on the unlabelled graph; the
+#: staircase cache is read through ``beta_star``.
 SOLVER_CACHES = {
     "xi": xi_bruteforce,
-    "ghat_beta": equalizers._ghat_beta,
+    "staircase": beta_star,
     "corona": xi_corona_structured,
 }
 
@@ -645,7 +691,7 @@ REJECTED_CALLS = {
 
 class TestSolverCaches:
     def test_each_holds_at_most_4096_entries(self):
-        for cache in (*SOLVER_CACHES.values(), beta_star):
+        for cache in SOLVER_CACHES.values():
             assert cache.cache_info().maxsize == 4096
 
     def test_parsed_graph_shares_entries_with_its_unlabelled_twin(self, fish):
@@ -660,9 +706,12 @@ class TestSolverCaches:
             for g in (parsed, twin)
         ]
         assert results[0] == results[1]
+        # The twin's corona hit reads no staircase; the parsed graph's
+        # corona miss reads the staircase that ghat_stats built.
+        hits = {"xi": 1, "staircase": 2, "corona": 1}
         for name, cache in SOLVER_CACHES.items():
             info = cache.cache_info()
-            assert (info.currsize, info.misses, info.hits) == (1, 1, 1), name
+            assert (info.currsize, info.misses, info.hits) == (1, 1, hits[name]), name
 
     def test_beta_star_keys_on_the_unlabelled_graph(self, fish):
         # fish names its vertices 1..6, as the parsed edge list does.
@@ -845,8 +894,12 @@ class TestKThreshold:
         assert row_builds == [g.unlabelled]
         # No Ĝ ``Graph`` is built: the search reads the rows.
         assert builds == []
+        # β(Ĝ) is the size of the staircase's first cover, so Ĝ is never
+        # sized whole, and one staircase serves the slope, β* and the probe.
         full_ghat = (g.ghat_rows, (1 << g.n) - 1)
-        assert solves.count(full_ghat) == 1
+        assert solves.count(full_ghat) == 0
+        info = beta_star.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
 
     def test_fish(self, fish):
         line = k_threshold(fish)
@@ -861,14 +914,14 @@ class TestKThreshold:
         line = k_threshold(cycle_graph(5))
         assert (line.k, line.slope) == (5, 0)
 
-    def test_independence_only_above_the_overlap_cap(self):
-        # Order 17 is above the β* cap of 16, so the threshold falls back
-        # to α(Ĝ); the line it reports must still hold past it.
-        g = path_graph(17)
-        line = k_threshold(g)
-        assert line == ThresholdLine(9, 9, 8, "independence-only")
-        for n_h in range(10, 13):
-            assert xi_corona_structured(g, n_h).value == 8 * n_h + 9
+    @pytest.mark.parametrize("n, k, threshold, slope", [(17, 9, 9, 8), (28, 14, 14, 14)])
+    def test_exact_line_up_to_the_cover_cap(self, n, k, threshold, slope):
+        # Every order the cover cap of 28 accepts gets the exact threshold;
+        # the line it reports must hold past it.
+        g = path_graph(n)
+        assert k_threshold(g) == ThresholdLine(k, threshold, slope, "exact")
+        for n_h in range(threshold + 1, threshold + 4):
+            assert xi_corona_structured(g, n_h).value == slope * n_h + k
 
     def test_line_is_exact_beyond_threshold(self, fish, chorded_path):
         for g in (fish, chorded_path):

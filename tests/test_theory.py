@@ -8,6 +8,7 @@ from equidim import (
     FamilySpec,
     Graph,
     GraphError,
+    beta_star,
     bipartite_formula,
     bounds_report,
     closed_formula,
@@ -43,11 +44,13 @@ class TestBoundsReport:
         assert r.floor == 6 and r.lower_weak == 6
 
     def test_one_corona_search_per_copy_order(self, fish):
-        # β* is the n(H) = 1 corona result, so the exact value reuses it.
+        # β(Ĝ), β* and the exact value are all read off one staircase.
         clear_solver_caches()
         bounds_report(fish, 1)
+        info = beta_star.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
         info = xi_corona_structured.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        assert (info.misses, info.hits, info.currsize) == (1, 0, 1)
 
     def test_fish_nh3(self, fish):
         r = bounds_report(fish, 3)
@@ -63,10 +66,13 @@ class TestBoundsReport:
                 assert r.floor <= r.exact
                 assert r.lower_weak <= r.lower <= r.exact <= r.upper <= r.upper_via_xi
 
-    def test_lower_bound_dropped_above_the_overlap_cap(self):
-        # β* is over its cap of 16 at order 17; ξ (cap 18) still bounds.
+    def test_lower_bound_up_to_the_cover_cap(self):
+        # β* is solved at every order the cover cap accepts; ξ (cap 18)
+        # bounds at 17 and is skipped at 28.
         r = bounds_report(path_graph(17), 2)
-        assert (r.lower, r.exact, r.upper_via_xi) == (None, 25, 41)
+        assert (r.lower, r.exact, r.upper_via_xi) == (25, 25, 41)
+        r = bounds_report(path_graph(28), 2)
+        assert (r.lower, r.exact, r.upper_via_xi) == (42, 42, None)
 
     def test_over_the_cover_cap_is_rejected_before_any_distance(self):
         g = path_graph(29)
@@ -256,8 +262,6 @@ class TestEccentricity2:
         assert eccentricity2_case(path_graph(7), 1) is None
 
     def test_all_low_eccentricity_cycle_certifies_zero_overlap(self):
-        from equidim import beta_star
-
         g = cycle_graph(5)
         assert eccentricity2_case(g, 1) is not None
         assert beta_star(g).value == 0
