@@ -11,7 +11,9 @@ U the cheapest valid L is (V minus U) plus a minimum cover T of the part of
 the empty bisector graph inside U, subject to T containing the vertices of U
 that are forced into L; so the search is a stream over covers U with one
 small exact subproblem each.  One such stream per graph, the staircase,
-answers every copy order, β(Ĝ) and the overlap minimum β*.
+answers every copy order, β(Ĝ) and the overlap minimum β*.  Only its few
+steps are cached: a corona result, whose witness has ξ(G ⊙ H) product
+vertices, is built from them on each call and never kept.
 """
 
 from __future__ import annotations
@@ -207,7 +209,7 @@ def _xi_solve(g: Graph) -> EquidimResult:
 
 
 _xi_cached = lru_cache(maxsize=4096)(_xi_solve)
-# Read and cleared through the public name, as the corona cache is.
+# Read and cleared through the public name, as the staircase cache is.
 xi_bruteforce.cache_info = _xi_cached.cache_info
 xi_bruteforce.cache_clear = _xi_cached.cache_clear
 
@@ -256,10 +258,14 @@ def _mandatory(fw: tuple[int, ...], umask: int, outside: int) -> int:
 # -- corona product computations ------------------------------------------------
 
 
+#: A staircase step ``(s, T(s), U, L)``.
+_Step = tuple[int, int, frozenset[int], frozenset[int]]
+
+
 @lru_cache(maxsize=4096)
-def _staircase(g: Graph) -> tuple[tuple[int, int, int, int], ...]:
-    """The steps ``(s, T(s), U, L)``, sets as masks, at which T falls below
-    its value at every smaller s.
+def _staircase(g: Graph) -> tuple[_Step, ...]:
+    """The steps ``(s, T(s), U, L)`` at which T falls below its value at
+    every smaller s.
 
     U ranges over the vertex covers of the empty bisector graph and L is
     (V minus U) plus t(U) vertices of U: the smallest cover of the empty
@@ -282,7 +288,7 @@ def _staircase(g: Graph) -> tuple[tuple[int, int, int, int], ...]:
     fw = g.forward_masks
     # t(U) <= n, so the first cover sets a step; a size's later step replaces it.
     limit = [n + 1]
-    steps: dict[int, tuple[int, int, int, int]] = {}
+    steps: dict[int, _Step] = {}
     for size, umask in covers.iter_cover_masks(adj, n, limit):
         if not steps:
             alpha = n - size
@@ -293,11 +299,27 @@ def _staircase(g: Graph) -> tuple[tuple[int, int, int, int], ...]:
         t = mandatory.bit_count() + covers.min_cover_size(adj, umask & ~mandatory)
         if t < limit[0]:
             limit[0] = t
-            lower = outside | covers.lexmin_cover(adj, umask, mandatory, t)
-            steps[size] = (size, t, umask, lower)
+            lmask = outside | covers.lexmin_cover(adj, umask, mandatory, t)
+            steps[size] = (size, t, frozenset(_bits(umask)), frozenset(_bits(lmask)))
             if t <= max(0, size - alpha):
                 break
     return tuple(steps.values())
+
+
+def _steps(g: Graph, max_order: int | None) -> tuple[_Step, ...]:
+    """The staircase of ``g``, after the budget check; the cache keys on
+    ``g.unlabelled``, so every budget and labelling shares one entry."""
+    check_budget(g.n, max_order, covers.MAX_EXACT_ORDER)
+    return _staircase(g.unlabelled)
+
+
+def _cheapest(steps: tuple[_Step, ...], n_h: int) -> tuple[int, _Step]:
+    """``(|U| * (n_h - 1) + t(U), step)`` for the cheapest step at copy
+    order ``n_h``, ξ(G ⊙ H) being n plus that cost.  A tie goes to the
+    smaller U, streamed first."""
+    costs = [size * (n_h - 1) + t for size, t, _, _ in steps]
+    cost = min(costs)
+    return cost, steps[costs.index(cost)]
 
 
 def xi_corona_structured(
@@ -307,28 +329,16 @@ def xi_corona_structured(
     on the base graph alone: the minimum of ``|U| * n_h + |L|`` over the
     valid splits (U, L), with full copies over U and L in the base.
 
-    The checks run before the cache, which keys on ``(g.unlabelled, n_h)``.
+    The result is built on each call from the cheapest step of the cached
+    staircase, after the copy-order and budget checks, so no witness of
+    the product is kept.
     """
     check_copy_order(n_h)
-    check_budget(g.n, max_order, covers.MAX_EXACT_ORDER)
-    return _corona_result(g.unlabelled, n_h)
-
-
-@lru_cache(maxsize=4096)
-def _corona_result(g: Graph, n_h: int) -> EquidimResult:
+    cost, (_, _, upper, lower) = _cheapest(_steps(g, max_order), n_h)
     n = g.n
-    # The cheapest step; a tie goes to the smaller U, streamed first.
-    size, t, umask, lmask = min(_staircase(g), key=lambda step: step[0] * (n_h - 1) + step[1])
-    upper = frozenset(_bits(umask))
-    lower = frozenset(_bits(lmask))
     # L in the base plus the full copy over each i in U, as corona() lays it out.
     witness = lower.union(*(range(n + i * n_h, n + (i + 1) * n_h) for i in upper))
-    return EquidimResult(n + size * (n_h - 1) + t, witness, (upper, lower), n_h)
-
-
-# The benchmark harness reads and clears the cache through the public name.
-xi_corona_structured.cache_info = _corona_result.cache_info
-xi_corona_structured.cache_clear = _corona_result.cache_clear
+    return EquidimResult(n + cost, witness, (upper, lower), n_h)
 
 
 def xi_corona_oracle(g: Graph, h: Graph, max_order: int | None = None) -> EquidimResult:
@@ -346,29 +356,24 @@ def beta_star(g: Graph, max_order: int | None = None) -> covers.CoverResult:
     witnesses.
 
     The overlap of a split is t(U), so this is the last step of the
-    staircase, the least T, with U & L as witness and (U, L) as the pair.
-    The budget check runs before the staircase cache, which keys on
-    ``g.unlabelled`` and is read and cleared through this name.
+    cached staircase, the least T, with U & L as witness and (U, L) as the
+    pair.
     """
-    check_budget(g.n, max_order, covers.MAX_EXACT_ORDER)
-    _, t, umask, lmask = _staircase(g.unlabelled)[-1]
-    upper = frozenset(_bits(umask))
-    lower = frozenset(_bits(lmask))
+    _, t, upper, lower = _steps(g, max_order)[-1]
     return covers.CoverResult(t, upper & lower, (upper, lower))
 
 
-# The benchmark harness reads and clears the cache through the public name.
-beta_star.cache_info = _staircase.cache_info
-beta_star.cache_clear = _staircase.cache_clear
+# Both names read and clear the one staircase cache, which
+# perfbench/child.py:69 and perfbench/record.py:61,143 read through them.
+xi_corona_structured.cache_info = beta_star.cache_info = _staircase.cache_info
+xi_corona_structured.cache_clear = beta_star.cache_clear = _staircase.cache_clear
 
 
 def ghat_stats(g: Graph, max_order: int | None = None) -> tuple[int, int]:
     """Cover and independence numbers β(Ĝ) and α(Ĝ) = n - β(Ĝ) of the empty
-    bisector graph: β(Ĝ) is the size of the staircase's first step.  The
-    cap check runs before the staircase cache, which keys on
-    ``g.unlabelled``."""
-    check_budget(g.n, max_order, covers.MAX_EXACT_ORDER)
-    beta = _staircase(g.unlabelled)[0][0]
+    bisector graph: β(Ĝ) is the size of the cached staircase's first
+    step."""
+    beta = _steps(g, max_order)[0][0]
     return beta, g.n - beta
 
 
@@ -377,12 +382,11 @@ def k_threshold(g: Graph, max_order: int | None = None) -> ThresholdLine:
     ``xi = slope * n(H) + k``: the slope is β(Ĝ), the threshold
     ``min(α(Ĝ), β(Ĝ) - β* + 1)``, and k is read off the staircase one copy
     order past the threshold."""
-    beta, alpha = ghat_stats(g, max_order)
-    steps = _staircase(g.unlabelled)
-    overlap = steps[-1][1]
+    steps = _steps(g, max_order)
+    beta, overlap = steps[0][0], steps[-1][1]
+    alpha = g.n - beta
     threshold = min(alpha, beta - overlap + 1)
-    probe = g.n + min(size * threshold + t for size, t, _, _ in steps)
-    k = probe - beta * (threshold + 1)
+    k = g.n + _cheapest(steps, threshold + 1)[0] - beta * (threshold + 1)
     if not alpha + overlap <= k <= g.n:
         raise AssertionError(
             f"intercept {k} escapes its proven range [{alpha + overlap}, {g.n}]"

@@ -20,6 +20,7 @@ MAX_INPUT_ORDER = 1024
 MAX_PARSED_TEXTS = 16
 
 
+@lru_cache(maxsize=MAX_PARSED_TEXTS)
 def parse_edge_list(text: str) -> Graph:
     """Parse edge-list text into a labeled :class:`Graph`.
 
@@ -27,11 +28,6 @@ def parse_edge_list(text: str) -> Graph:
     :data:`MAX_PARSED_TEXTS` texts most recently parsed, so repeated
     commands on one input share its unlabelled twin and every table either
     has built.  A parse error is never cached: it is raised on every call."""
-    return _parse(text)
-
-
-@lru_cache(maxsize=MAX_PARSED_TEXTS)
-def _parse(text: str) -> Graph:
     header: tuple[int, int] | None = None
     raw_edges: list[tuple[int, int, int]] = []  # (label_u, label_v, line_no)
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -85,11 +81,6 @@ def _parse(text: str) -> Graph:
     return Graph(n, edges, labels=tuple(labels))
 
 
-# Read and cleared through the public name, as the solver caches are.
-parse_edge_list.cache_info = _parse.cache_info
-parse_edge_list.cache_clear = _parse.cache_clear
-
-
 def format_edge_list(g: Graph) -> str:
     """Serialize a graph in the same edge-list format, edges sorted by label.
 
@@ -109,11 +100,14 @@ def format_edge_list(g: Graph) -> str:
 
 
 def to_dot(g: Graph) -> str:
-    """DOT text for the graph; no layout attributes."""
+    """DOT text for the graph; no layout attributes.  Each vertex is the
+    quoted DOT ID of its label, with ``\\`` and ``"`` escaped."""
+    ids = [
+        '"' + str(g.label_of(v)).replace("\\", "\\\\").replace('"', '\\"') + '"'
+        for v in range(g.n)
+    ]
     lines = ["graph G {"]
-    for v in range(g.n):
-        lines.append(f'  "{g.label_of(v)}";')
-    for u, v in g.edges:
-        lines.append(f'  "{g.label_of(u)}" -- "{g.label_of(v)}";')
+    lines.extend(f"  {vid};" for vid in ids)
+    lines.extend(f"  {ids[u]} -- {ids[v]};" for u, v in g.edges)
     lines.append("}")
     return "\n".join(lines) + "\n"

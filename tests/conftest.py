@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import strategies as st
@@ -44,13 +45,24 @@ def clear_solver_caches():
     ``cli.main`` (command lines and edge-list texts), so the next call on
     any graph parses and solves."""
     for cache in (
-        equalizers.xi_corona_structured,
         equalizers.xi_bruteforce,
-        equalizers.beta_star,
+        equalizers.beta_star,  # the staircase, also read by xi_corona_structured
         cli._parse_args,
         fileio.parse_edge_list,
     ):
         cache.cache_clear()
+
+
+def traced_growth(call):
+    """Bytes by which tracemalloc's traced memory grows across ``call()``,
+    whose return value is dropped: what the call leaves held."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
 
 
 def hard_draws(count):

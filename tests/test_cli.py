@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import clear_solver_caches
+from conftest import clear_solver_caches, traced_growth
 
 import equidim
 from equidim import cli, equalizers
@@ -342,9 +342,9 @@ def test_verify_bounds_solves_xi_once_per_corpus_graph(capsys):
 
 
 def test_commands_share_one_corona_search_per_copy_order(capsys, fish_file):
-    # The caches key on the graph (and n(H)) whatever the budget, so every
-    # command below reads one staircase, and the n(H) = 1 commands one
-    # corona entry.
+    # The staircase cache keys on the graph whatever the budget, so every
+    # command below reads one staircase; xi_corona_structured names the
+    # same cache.
     clear_solver_caches()
     for argv in (
         ("beta-star", fish_file, "--budget", "10"),
@@ -357,6 +357,17 @@ def test_commands_share_one_corona_search_per_copy_order(capsys, fish_file):
         assert run(capsys, *argv)[0] == 0
     assert equalizers.beta_star.cache_info().misses == 1
     assert equalizers.xi_corona_structured.cache_info().misses == 1
+
+
+def test_a_long_sweep_keeps_no_witness(capsys, fish_file):
+    # Each printed value comes with a witness of about n(H) product
+    # vertices; a sweep that kept them would hold about 49 MiB here.
+    def sweep():
+        assert main(["k-threshold", fish_file, "--sweep", "1..1000"]) == 0
+
+    clear_solver_caches()
+    assert traced_growth(sweep) < 5 * 2**20
+    assert capsys.readouterr().out.splitlines()[-1] == "1000,1006"
 
 
 def test_order_above_the_input_limit_exit_one(capsys, monkeypatch):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import clear_solver_caches, connected_graphs, hard_draws, labelset
+from conftest import clear_solver_caches, connected_graphs, hard_draws, labelset, traced_growth
 from equidim import (
     BudgetError,
     FamilySpec,
@@ -650,7 +650,8 @@ class TestCopyOrder:
 class TestCoronaCache:
     @pytest.mark.parametrize("n_h", [True, 1.0, 2.0])
     def test_copy_order_checked_on_a_cache_hit(self, fish, n_h):
-        # True == 1.0 == 1 and 2.0 == 2 share the cache keys of the ints.
+        # True == 1.0 == 1 and 2.0 == 2, yet neither is a copy order, even
+        # with the staircase of fish cached.
         xi_corona_structured(fish, 1)
         xi_corona_structured(fish, 2)
         with pytest.raises(GraphError, match="copy order must be a positive integer"):
@@ -668,13 +669,23 @@ class TestCoronaCache:
         with pytest.raises(BudgetError, match=f"cap {fish.n - 1}"):
             xi_corona_structured(fish, 2, max_order=fish.n - 1)
 
+    def test_a_dropped_result_leaves_no_witness_held(self):
+        # The witness has 100,010 product vertices (about 7 MiB); only the
+        # staircase of P_20, a few small sets, stays cached.
+        def solve():
+            result = xi_corona_structured(path_graph(20), 10**4)
+            assert result.value == len(result.witness) == 100_010
+
+        clear_solver_caches()
+        assert traced_growth(solve) < 2**20
+
 
 #: The solver result caches, which key on the unlabelled graph; the
-#: staircase cache is read through ``beta_star``.
+#: staircase cache is read through ``beta_star`` and
+#: ``xi_corona_structured``, and no corona result is cached.
 SOLVER_CACHES = {
     "xi": xi_bruteforce,
     "staircase": beta_star,
-    "corona": xi_corona_structured,
 }
 
 #: Calls rejected for budget, copy order or connectivity.
@@ -694,6 +705,11 @@ class TestSolverCaches:
         for cache in SOLVER_CACHES.values():
             assert cache.cache_info().maxsize == 4096
 
+    def test_corona_names_the_staircase_cache(self):
+        assert xi_corona_structured.cache_info == beta_star.cache_info
+        assert xi_corona_structured.cache_clear == beta_star.cache_clear
+        assert beta_star.cache_info == equalizers._staircase.cache_info
+
     def test_parsed_graph_shares_entries_with_its_unlabelled_twin(self, fish):
         # The edge list names the fish's vertices 1..6.
         parsed = parse_edge_list(format_edge_list(fish))
@@ -706,9 +722,9 @@ class TestSolverCaches:
             for g in (parsed, twin)
         ]
         assert results[0] == results[1]
-        # The twin's corona hit reads no staircase; the parsed graph's
-        # corona miss reads the staircase that ghat_stats built.
-        hits = {"xi": 1, "staircase": 2, "corona": 1}
+        # The parsed graph's ghat_stats builds the staircase; its corona
+        # result and both of the twin's calls read it.
+        hits = {"xi": 1, "staircase": 3}
         for name, cache in SOLVER_CACHES.items():
             info = cache.cache_info()
             assert (info.currsize, info.misses, info.hits) == (1, 1, hits[name]), name

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -112,6 +114,15 @@ def test_dot_export_mentions_every_edge(fish):
     assert dot.startswith("graph G {")
     assert '"5" -- "6";' in dot
     assert dot.count("--") == fish.m
+
+
+def test_dot_ids_escape_quotes_and_backslashes():
+    g = Graph(2, [(0, 1)], labels=('a"b', "c\\"))
+    dot = to_dot(g)
+    assert dot == 'graph G {\n  "a\\"b";\n  "c\\\\";\n  "a\\"b" -- "c\\\\";\n}\n'
+    # Read as DOT reads a quoted ID, each one gives its label back.
+    ids = re.findall(r'"((?:[^"\\]|\\.)*)"', dot)
+    assert [re.sub(r"\\(.)", r"\1", vid) for vid in ids] == ['a"b', "c\\"] * 2
 
 
 def test_declared_order_above_the_input_limit_is_rejected():

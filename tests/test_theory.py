@@ -44,13 +44,15 @@ class TestBoundsReport:
         assert r.floor == 6 and r.lower_weak == 6
 
     def test_one_corona_search_per_copy_order(self, fish):
-        # β(Ĝ), β* and the exact value are all read off one staircase.
+        # β(Ĝ), β* and the exact value are all read off one staircase, and
+        # another copy order reads it again: no copy order runs a search.
         clear_solver_caches()
         bounds_report(fish, 1)
         info = beta_star.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+        bounds_report(fish, 3)
         info = xi_corona_structured.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 0, 1)
+        assert (info.misses, info.hits, info.currsize) == (1, 5, 1)
 
     def test_fish_nh3(self, fish):
         r = bounds_report(fish, 3)

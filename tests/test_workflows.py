@@ -26,3 +26,17 @@ def test_no_repeated_keys_and_one_action_per_step(path):
     for name, job in jobs.items():
         for step in job["steps"]:
             assert ("run" in step) != ("uses" in step), (name, step)
+
+
+SMOKE_SCRIPT = ".github/scripts/packaging-smoke.sh"
+
+
+@pytest.mark.parametrize("path", WORKFLOWS, ids=lambda p: p.name)
+def test_every_install_runs_the_packaging_smoke_script(path):
+    # One script holds the smoke lines, so the jobs cannot drift apart.
+    assert (path.parent.parent.parent / SMOKE_SCRIPT).is_file()
+    jobs = yaml.load(path.read_text(), _StrictLoader)["jobs"]
+    for name, job in jobs.items():
+        for step in job["steps"]:
+            _, installed, after = step.get("run", "").partition("pip install .")
+            assert not installed or SMOKE_SCRIPT in after, (name, step["name"])
