@@ -198,10 +198,10 @@ def is_distance_equalizer(g: Graph, s) -> bool:
 def xi_bruteforce(g: Graph, max_order: int | None = None) -> EquidimResult:
     """Exact equidistant dimension: the minimum hitting set of the sets
     ``B(u, v) | {u, v}``, with the lexicographically smallest minimum set as
-    witness.  The budget check runs before the cache, which keys on
-    ``g.unlabelled``: the bounds at each copy order re-read ξ(G)."""
+    witness.  The budget check runs before the cache, which keys on ``g``
+    (its order and edges): the bounds at each copy order re-read ξ(G)."""
     check_budget(g.n, max_order, MAX_BRUTE_ORDER)
-    return _xi_cached(g.unlabelled)
+    return _xi_cached(g)
 
 
 def _xi_solve(g: Graph) -> EquidimResult:
@@ -308,9 +308,10 @@ def _staircase(g: Graph) -> tuple[_Step, ...]:
 
 def _steps(g: Graph, max_order: int | None) -> tuple[_Step, ...]:
     """The staircase of ``g``, after the budget check; the cache keys on
-    ``g.unlabelled``, so every budget and labelling shares one entry."""
+    ``g``, whose labels take no part in its identity, so every budget and
+    labelling shares one entry."""
     check_budget(g.n, max_order, covers.MAX_EXACT_ORDER)
-    return _staircase(g.unlabelled)
+    return _staircase(g)
 
 
 def _cheapest(steps: tuple[_Step, ...], n_h: int) -> tuple[int, _Step]:

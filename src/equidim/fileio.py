@@ -26,8 +26,8 @@ def parse_edge_list(text: str) -> Graph:
 
     Equal texts give the one same ``Graph``, from a memo of the
     :data:`MAX_PARSED_TEXTS` texts most recently parsed, so repeated
-    commands on one input share its unlabelled twin and every table either
-    has built.  A parse error is never cached: it is raised on every call."""
+    commands on one input share every table that one has built.  A parse
+    error is never cached: it is raised on every call."""
     header: tuple[int, int] | None = None
     raw_edges: list[tuple[int, int, int]] = []  # (label_u, label_v, line_no)
     for line_no, line in enumerate(text.splitlines(), start=1):

@@ -12,8 +12,9 @@ from vertex 0, serves the operations that read no such table first.
 
 Vertices are always the integers ``0 .. n-1`` internally.  A graph may carry
 external vertex labels (for instance the 1-indexed names used in input
-files); labels never affect any computation, only display, so the solver
-caches key on :attr:`Graph.unlabelled`.
+files); labels never affect any computation, only display, so a graph is
+its order and its edges: two graphs that differ only in labels are equal,
+hash alike and share every solver cache entry.
 """
 
 from __future__ import annotations
@@ -99,16 +100,6 @@ class Graph:
 
     def label_of(self, v: int) -> Hashable:
         return self.labels[v] if self.labels is not None else v
-
-    @property
-    def unlabelled(self) -> Graph:
-        """This graph without its labels, on which the solver caches key:
-        ``self`` when it has none, else a twin built on first use."""
-        return self if self.labels is None else self._twin
-
-    @cached_property
-    def _twin(self) -> Graph:
-        return Graph(self.n, self.edges)
 
     def index_of(self, label: Hashable) -> int:
         """The vertex labelled ``label``, matched in type too: ``True`` and
@@ -271,17 +262,20 @@ class Graph:
 
     # -- identity ------------------------------------------------------------
 
+    # Labels are display only, so they take no part in equality or hashing.
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.edges == other.edges
-            and self.labels == other.labels
-        )
+        return self.n == other.n and self.edges == other.edges
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges, self.labels))
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # On first use: most graphs, such as corona products, are never hashed.
+        return hash((self.n, self.edges))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

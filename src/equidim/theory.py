@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import equalizers
 from .errors import BudgetError, GraphError, check_copy_order
 from .families import FamilySpec, check_arity
-from .graphs import Graph
+from .graphs import Graph, _bits
 
 
 @dataclass(frozen=True)
@@ -132,21 +132,23 @@ def xi_equals_order_characterization(g: Graph, n_h: int) -> tuple[bool, str]:
 
 def two_coloring(g: Graph) -> tuple[frozenset[int], frozenset[int]]:
     """The unique bipartition of a connected bipartite graph (smaller side
-    second); rejects non-bipartite input."""
-    if not g.is_connected:
+    second); rejects non-bipartite input.  The sides are the even and the
+    odd BFS layers of vertex 0, read off its packed row."""
+    row, fold = g._bfs_row(0), g._fold
+    if row.bit_count() != g.n:
         raise GraphError("operation requires a connected graph")
-    side = [None] * g.n
-    side[0] = 0
-    order = [0]
-    for v in order:
-        for u in g.neighbors(v):
-            if side[u] is None:
-                side[u] = 1 - side[v]
-                order.append(u)
-            elif side[u] == side[v]:
-                raise GraphError("graph is not bipartite")
-    a = frozenset(v for v in range(g.n) if side[v] == 0)
-    b = frozenset(range(g.n)) - a
+    sides = [0, 0]
+    parity = 0
+    while row:
+        sides[parity] |= row & fold
+        row >>= fold.bit_length()
+        parity ^= 1
+    # An edge joins equal or adjacent layers, so one inside a side lies in
+    # one layer and closes an odd cycle.
+    adj = g.adjacency_bits
+    if any(adj[v] & side for side in sides for v in _bits(side)):
+        raise GraphError("graph is not bipartite")
+    a, b = (frozenset(_bits(side)) for side in sides)
     return (a, b) if len(a) >= len(b) else (b, a)
 
 

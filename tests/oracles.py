@@ -44,6 +44,20 @@ def is_connected(n, edges):
     return all(d is not INF for d in floyd_warshall(n, edges)[0])
 
 
+def bipartition(n, edges):
+    """The sides of a connected graph by the parity of the Floyd-Warshall
+    distance from vertex 0, vertex 0's side first; or, in place of the
+    sides, the error a solver must name: "connected" when a vertex is out
+    of reach, before "not bipartite" when an edge joins one side."""
+    dist = floyd_warshall(n, edges)[0]
+    if INF in dist:
+        return "connected"
+    even = {v for v in range(n) if dist[v] % 2 == 0}
+    if any((u in even) == (v in even) for u, v in edges):
+        return "not bipartite"
+    return even, set(range(n)) - even
+
+
 def min_vertex_cover(n, edges):
     """Smallest cover, first hit in size-then-lexicographic subset order."""
     edge_list = list(edges)

@@ -680,9 +680,9 @@ class TestCoronaCache:
         assert traced_growth(solve) < 2**20
 
 
-#: The solver result caches, which key on the unlabelled graph; the
-#: staircase cache is read through ``beta_star`` and
-#: ``xi_corona_structured``, and no corona result is cached.
+#: The solver result caches, which key on the graph, whose labels take no
+#: part in its identity; the staircase cache is read through ``beta_star``
+#: and ``xi_corona_structured``, and no corona result is cached.
 SOLVER_CACHES = {
     "xi": xi_bruteforce,
     "staircase": beta_star,
@@ -713,21 +713,42 @@ class TestSolverCaches:
     def test_parsed_graph_shares_entries_with_its_unlabelled_twin(self, fish):
         # The edge list names the fish's vertices 1..6.
         parsed = parse_edge_list(format_edge_list(fish))
-        twin = Graph(parsed.n, parsed.edges)
-        assert parsed.labels == tuple(range(1, 7)) and parsed != twin
-        assert parsed.unlabelled == twin and twin.unlabelled is twin
+        twin = Graph(6, fish.edges)
+        assert parsed.labels == tuple(range(1, 7)) and twin.labels is None
+        # Labels are display only: the two are one graph to every cache.
+        assert parsed == twin and hash(parsed) == hash(twin)
         clear_solver_caches()
         results = [
             (xi_bruteforce(g), equalizers.ghat_stats(g), xi_corona_structured(g, 2))
             for g in (parsed, twin)
         ]
         assert results[0] == results[1]
-        # The parsed graph's ghat_stats builds the staircase; its corona
-        # result and both of the twin's calls read it.
+        # The parsed graph's ξ and ghat_stats fill one entry each; its
+        # corona result and all three of the twin's calls read them.
         hits = {"xi": 1, "staircase": 3}
         for name, cache in SOLVER_CACHES.items():
             info = cache.cache_info()
             assert (info.currsize, info.misses, info.hits) == (1, 1, hits[name]), name
+
+    def test_a_parsed_graph_builds_its_corona_tables_once(self, fish, monkeypatch):
+        from functools import cached_property
+
+        rows = Graph.__dict__["_forward_and_ghat"].func
+        row_builds = []
+
+        def counted_rows(graph):
+            row_builds.append(graph)
+            return rows(graph)
+
+        counted = cached_property(counted_rows)
+        counted.__set_name__(Graph, "_forward_and_ghat")
+        monkeypatch.setattr(Graph, "_forward_and_ghat", counted)
+        clear_solver_caches()  # the parse memo too, so the graph is fresh
+        parsed = parse_edge_list(format_edge_list(fish))
+        assert forward_equalized(parsed, ForwardPair(frozenset(range(6)), frozenset()))
+        assert xi_corona_structured(parsed, 2).value == 8
+        # The staircase keys on the parsed graph, so it reads the same rows.
+        assert len(row_builds) == 1 and row_builds[0] is parsed
 
     def test_beta_star_keys_on_the_unlabelled_graph(self, fish):
         # fish names its vertices 1..6, as the parsed edge list does.
@@ -739,7 +760,7 @@ class TestSolverCaches:
             beta_star(fish, max_order=8),
             beta_star(fish, None),
             beta_star(parsed),
-            beta_star(fish.unlabelled),
+            beta_star(Graph(6, fish.edges)),
         }
         assert len(results) == 1
         info = beta_star.cache_info()
@@ -906,8 +927,8 @@ class TestKThreshold:
         monkeypatch.setattr(covers, "min_cover_size", counted_solve)
         line = k_threshold(g)
         assert (line.k, line.threshold, line.slope) == (4, 3, 4)
-        # The caches key on the unlabelled twin, which builds the rows.
-        assert row_builds == [g.unlabelled]
+        # The caches key on g itself, which builds the rows once.
+        assert len(row_builds) == 1 and row_builds[0] is g
         # No Ĝ ``Graph`` is built: the search reads the rows.
         assert builds == []
         # β(Ĝ) is the size of the staircase's first cover, so Ĝ is never

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from equidim import cli, equalizers, theory
+from equidim import cli, covers, equalizers, theory
 from equidim.errors import EquidimError, GraphError
 from equidim.suites import SUITES, _blob, run_suite
 
@@ -51,6 +51,19 @@ def test_gallai_json_deterministic_per_seed():
     second = run_suite("gallai", seed=5).to_json()
     assert first == second
     assert first != run_suite("gallai", seed=6).to_json()
+
+
+def test_gallai_fails_on_a_wrong_cover_number(monkeypatch):
+    # One too high: β comes from the staircase and α from the cover
+    # search, so α + β = n breaks; were both one search, it would hold.
+    solve = covers.vertex_cover_number
+
+    def off_by_one(g, max_order=None):
+        result = solve(g, max_order)
+        return dataclasses.replace(result, value=result.value + 1)
+
+    monkeypatch.setattr(covers, "vertex_cover_number", off_by_one)
+    assert not run_suite("gallai", 0).passed
 
 
 def test_failures_carry_counterexamples(monkeypatch, capsys):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import oracles
 from conftest import clear_solver_caches
 from equidim import (
     BudgetError,
@@ -341,3 +342,42 @@ def test_two_coloring_orders_parts_big_first():
     assert len(big) == 5 and len(small) == 2
     big, small = two_coloring(generate(FamilySpec("hypercube", (2,))))
     assert len(big) == len(small) == 2
+
+
+class TestTwoColoring:
+    @staticmethod
+    def check(g):
+        """two_coloring(g) against the distance-parity reference."""
+        expected = oracles.bipartition(g.n, g.edges)
+        if isinstance(expected, str):
+            with pytest.raises(GraphError, match=expected):
+                two_coloring(g)
+            return
+        even, odd = map(frozenset, expected)
+        # Vertex 0's side comes first on a tie.
+        assert two_coloring(g) == ((even, odd) if len(even) >= len(odd) else (odd, even))
+
+    def test_matches_reference_on_all_small_connected_graphs(self):
+        for n in range(1, 7):
+            for g in all_connected_graphs(n):
+                self.check(g)
+
+    def test_matches_reference_on_bipartite_samples(self):
+        rng = random.Random(4)
+        for _ in range(200):
+            self.check(random_connected_bipartite(rng, rng.randint(1, 16)))
+
+    @pytest.mark.parametrize(
+        "g, message",
+        [
+            (Graph(4, [(0, 1), (2, 3)]), "connected"),
+            # A triangle and a lone vertex: connectivity is checked first.
+            (Graph(4, [(0, 1), (1, 2), (0, 2)]), "connected"),
+            (Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]), "not bipartite"),
+            # The odd cycle sits far from vertex 0.
+            (Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (3, 5)]), "not bipartite"),
+        ],
+    )
+    def test_errors_match_reference(self, g, message):
+        assert oracles.bipartition(g.n, g.edges) == message
+        self.check(g)

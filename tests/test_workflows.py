@@ -40,3 +40,17 @@ def test_every_install_runs_the_packaging_smoke_script(path):
         for step in job["steps"]:
             _, installed, after = step.get("run", "").partition("pip install .")
             assert not installed or SMOKE_SCRIPT in after, (name, step["name"])
+
+
+ROUNDS_SCRIPT = ".github/scripts/benchmark-rounds.sh"
+
+
+@pytest.mark.parametrize("path", WORKFLOWS, ids=lambda p: p.name)
+def test_every_job_runs_the_benchmark_rounds_script(path):
+    # One script holds the rounds, so every job checks all of them.
+    assert (path.parent.parent.parent / ROUNDS_SCRIPT).is_file()
+    jobs = yaml.load(path.read_text(), _StrictLoader)["jobs"]
+    for name, job in jobs.items():
+        runs = [step.get("run", "") for step in job["steps"]]
+        assert not any("perfbench/run.py" in run for run in runs), name
+        assert any(ROUNDS_SCRIPT in run for run in runs), name
