@@ -10,7 +10,11 @@
 # mask table at the order cap of 18. The k-threshold and beta-star lines on
 # P_28 solve β* and the exact line at the cover cap of 28. The fish sweep
 # to n(H) = 4000 prints one value per copy order; a sweep that kept each
-# printed witness would hold hundreds of MiB by its end.
+# printed witness would hold hundreds of MiB by its end. The two xi-corona
+# lines take each branch of the corona tables: K_{12,16} is bipartite, so its
+# tables are read off the BFS from vertex 0 and the value is the bipartite
+# formula 12 * 3 + 16; C_27 has an odd cycle and runs the BFS from every
+# vertex.
 set -euo pipefail
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -23,6 +27,8 @@ equidim gen empty 2 -o "$tmp/h.txt"
 test "$(equidim gen path 4 | equidim xi-corona - --nh 2 --oracle "$tmp/h.txt" --json)" = '{"agree":true,"base_part":[1,3],"copies_over":[0,2],"nh":2,"oracle":6,"value":6}'
 test "$(equidim gen path 18 | equidim xi - --json)" = '{"value":13,"witness":[0,2,3,4,6,8,9,10,11,12,13,14,16]}'
 test "$(equidim gen cycle 18 | equidim xi-total - --json)" = '{"value":null,"witness":null}'
+test "$(equidim gen complete-bipartite 12 16 | equidim xi-corona - --nh 3 --json)" = '{"base_part":[12,13,14,15,16,17,18,19,20,21,22,23,24,25,26,27],"copies_over":[0,1,2,3,4,5,6,7,8,9,10,11],"nh":3,"value":52}'
+test "$(equidim gen cycle 27 | equidim xi-corona - --nh 3 --json)" = '{"base_part":[0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,24,25,26],"copies_over":[],"nh":3,"value":27}'
 test "$(equidim gen path 28 | equidim k-threshold - --json)" = '{"k":14,"slope":14,"threshold":14,"threshold_bound":"exact"}'
 test "$(equidim gen path 28 | equidim beta-star - --json)" = '{"overlap":[],"pair":[[0,2,4,6,8,10,12,14,16,18,20,22,24,26],[1,3,5,7,9,11,13,15,17,19,21,23,25,27]],"value":0}'
 test "$(equidim gen fish | equidim k-threshold - --sweep 1..4000 | tail -n 1)" = "4000,4006"

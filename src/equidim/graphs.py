@@ -6,9 +6,13 @@ the pair masks, read off packed rows that hold a vertex's BFS layers in one
 int, layer d in the d-th W-bit chunk (W = 8·⌈n/8⌉), so a pair's bisector
 mask is one AND and one modulo 2^W − 1; the all-pairs distances, whose row
 maxima are the eccentricities; and the corona tables, the forward masks and
-the rows of the empty bisector graph Ĝ.  A table that needs a connected
-graph rejects a disconnected one from its own BFS; ``is_connected``, one BFS
-from vertex 0, serves the operations that read no such table first.
+the rows of the empty bisector graph Ĝ.  The corona tables stop after the
+BFS from vertex 0 if it finds no edge inside a layer, which would close an
+odd cycle: on a bipartite graph d(w, x) − d(w, v) has the parity of d(x, v)
+and a geodesic from x to v holds a witness w for its parity, so both tables
+map x to the colour class without x.  A table that needs a connected graph
+rejects a disconnected one from its own BFS; ``is_connected``, one BFS from
+vertex 0, serves the operations that read no such table first.
 
 Vertices are always the integers ``0 .. n-1`` internally.  A graph may carry
 external vertex labels (for instance the 1-indexed names used in input
@@ -114,14 +118,16 @@ class Graph:
 
     def _bfs_row(self, source: int) -> int:
         # The BFS layers of source packed into one int: layer d sits in bits
-        # [dW, (d+1)W), W = 8*ceil(n/8).  Joining the bytes of the layers
-        # takes time linear in the row; shifting each one in is quadratic.
-        adj = self.adjacency_bits
+        # [dW, (d+1)W), W = 8*ceil(n/8), up to the layer that completes seen.
+        # Joining the layers' bytes is linear in the row; shifting is quadratic.
+        adj, full = self.adjacency_bits, (1 << self.n) - 1
         width = (self.n + 7) // 8
         seen = frontier = 1 << source
         chunks = []
         while frontier:
             chunks.append(frontier.to_bytes(width, "little"))
+            if seen == full:
+                break
             reach = 0
             while frontier:
                 low = frontier & -frontier
@@ -216,10 +222,11 @@ class Graph:
     def _forward_and_ghat(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         # A bitset BFS from every source w that keeps no layers: each x in
         # layer d of w gets layer d - 1 in fw[x] and layer d in near[x].
-        adj = self.adjacency_bits
-        full = (1 << self.n) - 1
-        fw, near = [0] * self.n, [0] * self.n
-        for w in range(self.n):
+        # w = 0 also collects the colour classes (side, across) and edges inside a layer (odd).
+        adj, n, full = self.adjacency_bits, self.n, (1 << self.n) - 1
+        fw, near = [0] * n, [0] * n
+        side = across = odd = 0
+        for w in range(n):
             seen = layer = 1 << w
             prev = 0
             while layer:
@@ -232,19 +239,26 @@ class Graph:
                     fw[x] |= prev
                     near[x] |= layer
                     rest ^= low
+                if not w:
+                    odd |= reach & layer
+                    side, across = across | layer, side
                 prev = layer
                 layer = reach & ~seen
                 seen |= layer
             if seen != full:
                 raise GraphError("operation requires a connected graph")
+            if not (w or odd):
+                other = tuple(across if side >> x & 1 else side for x in range(n))
+                return other, other
         return tuple(fw), tuple(full & ~mask for mask in near)
 
     @property
     def forward_masks(self) -> tuple[int, ...]:
         """``masks[x]`` has bit v set iff some w has d(w, x) = d(w, v) + 1:
         every x in layer d of w gets layer d - 1 of w.  Built with
-        :attr:`ghat_rows` in one BFS pass that keeps no layers and rejects
-        a disconnected graph."""
+        :attr:`ghat_rows` in one BFS pass that keeps no layers, rejects a
+        disconnected graph and stops after vertex 0 on a bipartite one: by
+        parity, each mask is then the colour class without x."""
         return self._forward_and_ghat[0]
 
     @property
@@ -253,10 +267,11 @@ class Graph:
         pairs with no equidistant vertex.  Connected graphs only.
 
         A vertex w is equidistant from u and v iff v lies in the layer of w
-        that holds u, so row(u) is V minus the union of those n layers.
-        Only the rows are kept, not a Ĝ ``Graph``: holding one on every
-        graph made the slowest corona-ladder requests of ``perfbench``
-        about 8% slower on a shared 2-vCPU host.
+        that holds u, so row(u) is V minus the union of those n layers.  On
+        a bipartite graph, by parity, that union is u's colour class and the
+        pass stops after vertex 0.  Only the rows are kept: a Ĝ ``Graph`` on
+        every graph made the slowest ``perfbench`` corona-ladder requests
+        about 8% slower.
         """
         return self._forward_and_ghat[1]
 

@@ -26,6 +26,7 @@ from equidim import (
     xi_equals_order_characterization,
 )
 from equidim.covers import clique_number
+from equidim.equalizers import ghat_stats
 from equidim.families import (
     chorded_path_graph,
     empty_graph,
@@ -171,7 +172,9 @@ def test_criterion_7_structural_relations(corpus):
     started = time.perf_counter()
     for g in corpus:
         ghat = empty_bisector_graph(g).graph
-        beta = vertex_cover_number(ghat).value
+        # Two searches, so the sum can miss n: β is the staircase's first
+        # cover, α comes from a cover search on the Ĝ graph.
+        beta = ghat_stats(g)[0]
         alpha = independence_number(ghat).value
         assert alpha + beta == g.n
         try:

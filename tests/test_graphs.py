@@ -15,10 +15,12 @@ from equidim.families import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    fish_graph,
     hypercube_graph,
     path_graph,
     wheel_graph,
 )
+from equidim.theory import random_connected_bipartite
 
 
 class TestConstruction:
@@ -240,6 +242,17 @@ class TestPerGraphTables:
         for g in graphs:
             _check_tables(g)
 
+    # A row ends at the layer that completes it, so its BFS reads no
+    # adjacency row of that layer: one read from a star's centre, two from
+    # a leaf.
+    def test_a_row_stops_at_the_layer_that_completes_it(self):
+        g = Graph(10, [(0, v) for v in range(1, 10)])
+        g.adjacency_bits = _CountingRows(g.adjacency_bits)
+        assert g._bfs_row(0) == 1 | 0x3FE << 16
+        assert g.adjacency_bits.reads == 1
+        assert g._bfs_row(1) == 0b10 | 1 << 16 | 0x3FC << 32
+        assert g.adjacency_bits.reads == 3
+
     @pytest.mark.parametrize("n", [64, 100, 130])
     @pytest.mark.parametrize("family", [path_graph, cycle_graph], ids=["P", "C"])
     def test_long_rows(self, family, n):
@@ -272,6 +285,22 @@ class TestPerGraphTables:
 LADDER_POOL = Path(__file__).parents[1] / "perfbench" / "data" / "ladder_pool.json"
 
 
+class _CountingRows(tuple):
+    """Adjacency rows that count their reads."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def _path_into_triangle(n):
+    """The path 0 .. n - 1 plus the edge {n - 3, n - 1}, which closes a
+    triangle on its last three vertices."""
+    return Graph(n, [(v, v + 1) for v in range(n - 1)] + [(n - 3, n - 1)])
+
+
 def _check_against_layer_walk(g):
     layers = oracles.distance_layers(g.n, g.edges)
     fw, rows = oracles.forward_and_ghat_from_layers(g.n, layers)
@@ -295,6 +324,51 @@ class TestOnePassCoronaTables:
         assert len(graphs) == 10
         for entry in graphs:
             _check_against_layer_walk(Graph(entry["n"], [tuple(e) for e in entry["edges"]]))
+
+    # A bipartite graph stops after the BFS from vertex 0; these samples are
+    # relabelled at random, so vertex 0 may sit in either colour class.
+    def test_random_connected_bipartite_graphs(self):
+        rng = random.Random(28)
+        for _ in range(200):
+            g = random_connected_bipartite(rng, rng.randint(2, 28))
+            perm = rng.sample(range(g.n), g.n)
+            _check_against_layer_walk(Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges]))
+
+    # The odd cycle lies in the last layers of the BFS from vertex 0, so
+    # only the end of that BFS tells these graphs from bipartite ones.
+    @pytest.mark.parametrize("g", [_path_into_triangle(20), cycle_graph(21)], ids=["P+K3", "C21"])
+    def test_odd_cycle_far_from_vertex_zero(self, g):
+        _check_against_layer_walk(g)
+
+    def test_disconnected_graph_with_bipartite_parts_is_rejected(self):
+        g = Graph(4, [(0, 1), (2, 3)])
+        with pytest.raises(GraphError, match="connected"):
+            g.ghat_rows
+        with pytest.raises(GraphError, match="connected"):
+            g.forward_masks
+
+    # A bipartite graph reads each adjacency row at most twice: once on the
+    # BFS from vertex 0, once more if a search for an edge inside a layer
+    # needs it. Any other graph runs the BFS from every vertex.
+    @pytest.mark.parametrize(
+        "g, bipartite",
+        [
+            (path_graph(28), True),
+            (hypercube_graph(4), True),
+            (complete_bipartite_graph(8, 10), True),
+            (fish_graph(), False),
+            (cycle_graph(21), False),
+        ],
+        ids=["P28", "Q4", "K8_10", "fish", "C21"],
+    )
+    def test_adjacency_reads(self, g, bipartite):
+        fresh = Graph(g.n, g.edges)
+        fresh.adjacency_bits = _CountingRows(g.adjacency_bits)
+        _check_against_layer_walk(fresh)
+        if bipartite:
+            assert fresh.adjacency_bits.reads <= 2 * g.n
+        else:
+            assert fresh.adjacency_bits.reads >= g.n * g.n
 
 
 class TestCorona:
