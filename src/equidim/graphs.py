@@ -146,14 +146,19 @@ class Graph:
     def distances(self) -> tuple[tuple[int | float, ...], ...]:
         """All-pairs shortest path lengths, :data:`INFINITY` for unreachable
         pairs, from a bitset BFS per source that writes each vertex's
-        distance as it pops the vertex and keeps no layers."""
-        adj = self.adjacency_bits
+        distance as it pops the vertex and keeps no layers.  The layer that
+        completes ``seen`` reads no adjacency row: its frontier is empty."""
+        adj, full = self.adjacency_bits, (1 << self.n) - 1
         rows = []
         for source in range(self.n):
             row: list[int | float] = [INFINITY] * self.n
             seen = frontier = 1 << source
             d = 0
             while frontier:
+                if seen == full:
+                    for x in _bits(frontier):
+                        row[x] = d
+                    break
                 reach = 0
                 while frontier:
                     low = frontier & -frontier

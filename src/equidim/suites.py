@@ -8,6 +8,9 @@ exceptions, and carry the offending graph as an edge list, except two
 fixed-example checks that carry only their values:
 ``pendant-triangle/line/nh=…`` in :func:`suite_fig7` and
 ``fish/decomposition-…-valid`` in :func:`suite_table1`.
+
+The five corpus suites (bounds, gallai, characterization, linearity and
+g-vs-ghat) share one seeded corpus per process, memoized for one seed.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import covers, equalizers, theory
 from .bisectors import empty_bisector_graph
@@ -80,11 +84,15 @@ def _blob(g: Graph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.edges]}
 
 
-def _corpus(seed: int):
+@lru_cache(maxsize=1)
+def _corpus(seed: int) -> tuple[tuple[str, Graph, dict], ...]:
     """The seeded corpus as ``(tag, g, blob)``: the ``corpus[NN]`` key prefix
-    and one edge-list blob per graph, shared by every check on it."""
-    for idx, g in enumerate(theory.seeded_corpus(seed)):
-        yield f"corpus[{idx:02d}]", g, _blob(g)
+    and one edge-list blob per graph, shared by every check on it.  Kept for
+    the last seed only, so the corpus suites at one seed share its graphs,
+    every table built on them and their blobs, which no check may edit."""
+    return tuple(
+        (f"corpus[{idx:02d}]", g, _blob(g)) for idx, g in enumerate(theory.seeded_corpus(seed))
+    )
 
 
 # -- individual suites ----------------------------------------------------------

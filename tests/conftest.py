@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 from hypothesis import strategies as st
 
-from equidim import Graph, GraphError, cli, equalizers, fileio
+from equidim import Graph, GraphError, cli, equalizers, fileio, suites
 from equidim.families import (
     chorded_path_graph,
     fish_graph,
@@ -41,14 +41,16 @@ def k5_leaves():
 
 
 def clear_solver_caches():
-    """Empty every solver result cache and the two input memos of
-    ``cli.main`` (command lines and edge-list texts), so the next call on
-    any graph parses and solves."""
+    """Empty every solver result cache, the two input memos of ``cli.main``
+    (command lines and edge-list texts) and the suites' corpus memo, so the
+    next call on any graph parses and solves, and the next corpus suite
+    samples its graphs afresh.  Only the argument parser memo is kept."""
     for cache in (
         equalizers.xi_bruteforce,
         equalizers.beta_star,  # the staircase, also read by xi_corona_structured
         cli._parse_args,
         fileio.parse_edge_list,
+        suites._corpus,
     ):
         cache.cache_clear()
 

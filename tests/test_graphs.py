@@ -126,6 +126,35 @@ class TestDistances:
         assert [list(r) for r in d] == oracles.floyd_warshall(g.n, g.edges)
         assert d[0][3] is INFINITY and d[8][0] is INFINITY and d[7][5] == 2
 
+    # The BFS from a source writes the layer that completes it without
+    # reading its adjacency rows: a star reads 1 row from its centre and 2
+    # from a leaf, P_n reads n - 1 from an end.  A source that never sees
+    # every vertex reads the row of each vertex it reaches.
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Graph(10, [(0, v) for v in range(1, 10)]),
+            path_graph(8),
+            path_graph(9),
+            cycle_graph(9),
+            fish_graph(),
+            Graph(9, [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7)]),
+        ],
+        ids=["star", "P8", "P9", "C9", "fish", "disconnected"],
+    )
+    def test_the_completing_layer_reads_no_row(self, g):
+        dist = oracles.floyd_warshall(g.n, g.edges)
+        reads = 0
+        for row in dist:
+            if INFINITY in row:
+                reads += sum(d < INFINITY for d in row)
+            else:
+                reads += sum(d < max(row) for d in row)
+        fresh = Graph(g.n, g.edges)
+        fresh.adjacency_bits = _CountingRows(g.adjacency_bits)
+        assert [list(r) for r in fresh.distances] == dist
+        assert fresh.adjacency_bits.reads == reads
+
     def test_matches_floyd_warshall_on_random_graphs(self):
         rng = random.Random(411)
         for _ in range(100):

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from conftest import clear_solver_caches
 from equidim import cli, covers, equalizers, theory
 from equidim.errors import EquidimError, GraphError
 from equidim.suites import SUITES, _blob, run_suite
@@ -180,6 +181,79 @@ def test_each_graph_blob_is_built_once(name, monkeypatch):
         return _blob(g)
 
     monkeypatch.setattr(suites, "_blob", counting)
+    suites._corpus.cache_clear()  # else a corpus suite reads the blobs another built
     run_suite(name, 0)
     assert len(built) == GRAPHS_PER_SUITE[name]
     assert len({id(g) for g in built}) == len(built)
+
+
+def test_corpus_suites_share_one_corpus(monkeypatch):
+    from functools import cached_property
+
+    from equidim import suites
+    from equidim.graphs import Graph
+
+    samples = []
+    sample = theory.seeded_corpus
+
+    def counting_sample(seed):
+        samples.append(seed)
+        return sample(seed)
+
+    tables = Graph.__dict__["_forward_and_ghat"].func
+    built = []
+
+    def counting_tables(graph):
+        built.append(graph)
+        return tables(graph)
+
+    counted = cached_property(counting_tables)
+    counted.__set_name__(Graph, "_forward_and_ghat")
+    monkeypatch.setattr(theory, "seeded_corpus", counting_sample)
+    monkeypatch.setattr(Graph, "_forward_and_ghat", counted)
+    clear_solver_caches()
+    for name in CORPUS_SUITES:
+        assert run_suite(name, 0).passed, name
+    assert samples == [0]
+    corpus = [g for _, g, _ in suites._corpus(0)]
+    assert len(corpus) == 50
+    # Each corpus graph builds its corona tables once, and no copy of one
+    # builds them again.
+    assert [sum(b is g for b in built) for g in corpus] == [1] * 50
+    assert not [b for b in built if b in corpus and not any(b is g for g in corpus)]
+    assert suites._corpus.cache_info().maxsize == 1
+
+
+def test_corpus_memo_holds_one_seed_and_sampling_stays_fresh():
+    from equidim import suites
+
+    suites._corpus.cache_clear()
+    first = suites._corpus(0)
+    assert suites._corpus(0) is first
+    assert suites._corpus(3) is not first
+    assert suites._corpus.cache_info().currsize == 1
+    assert isinstance(first, tuple)
+    # The public sampler keeps returning a fresh list of fresh graphs.
+    again = theory.seeded_corpus(0)
+    assert isinstance(again, list) and again is not theory.seeded_corpus(0)
+    assert again == [g for _, g, _ in first]
+    assert not any(a is g for a, (_, g, _) in zip(again, first))
+
+
+def _reports(names, seed):
+    return {name: run_suite(name, seed).to_json() for name in names}
+
+
+# The corpus suites share graphs, tables and blobs, so a suite that edited
+# any of them would change the reports of the suites run after it.
+@pytest.mark.parametrize("seed", [0, 3])
+def test_a_warm_process_reports_what_a_cold_one_does(seed):
+    names = sorted(SUITES)
+    cold = {}
+    for name in names:
+        clear_solver_caches()
+        cold.update(_reports([name], seed))
+    for name in names:
+        clear_solver_caches()
+        _reports([other for other in reversed(names) if other != name], seed)
+        assert _reports([name], seed) == {name: cold[name]}, name
