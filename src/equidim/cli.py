@@ -125,17 +125,17 @@ def _value_and_witness(g: Graph, args, budget):
 
 
 def _xi_corona(g: Graph, args, budget):
-    result = equalizers.xi_corona_structured(g, args.nh, max_order=budget)
-    over, base = (_labels(g, part) for part in result.decomposition)
-    payload = {"value": result.value, "nh": args.nh, "copies_over": over, "base_part": base}
-    lines = [f"{result.value}  copies over {over}; base part {base}"]
+    value, *split = equalizers._corona_split(g, args.nh, budget)
+    over, base = (_labels(g, part) for part in split)
+    payload = {"value": value, "nh": args.nh, "copies_over": over, "base_part": base}
+    lines = [f"{value}  copies over {over}; base part {base}"]
     if args.oracle:
         h = _load_graph(args.oracle)
         if h.n != args.nh:
             raise EquidimError(f"--oracle graph has order {h.n}, but --nh is {args.nh}")
         oracle = equalizers.xi_corona_oracle(g, h, max_order=budget)
         payload["oracle"] = oracle.value
-        payload["agree"] = oracle.value == result.value
+        payload["agree"] = oracle.value == value
         lines.append(f"oracle: {oracle.value} ({'agree' if payload['agree'] else 'DISAGREE'})")
     return payload, lines
 
@@ -154,8 +154,7 @@ def _k_threshold(g: Graph, args, budget):
         # solved.  The first row is solved before the header is printed, so a
         # budget or connectivity error leaves stdout empty.
         lo, hi = _parse_range(args.sweep)
-        solve = equalizers.xi_corona_structured
-        rows = (f"{n_h},{solve(g, n_h, max_order=budget).value}" for n_h in range(lo, hi + 1))
+        rows = (f"{n_h},{equalizers._corona_split(g, n_h, budget)[0]}" for n_h in range(lo, hi + 1))
         return None, chain(["nh,xi", next(rows)], rows)
     line = equalizers.k_threshold(g, max_order=budget)
     text = f"xi = {line.slope}*n(H) + {line.k} for n(H) > {line.threshold}"

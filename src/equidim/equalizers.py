@@ -100,10 +100,10 @@ def _min_hitting_subset(n: int, masks: list[int]) -> tuple[int, frozenset[int]]:
       v is taken when it is in ``known``, and left out when it meets no
       unhit mask (every member of a minimum set meets one).  Otherwise v is
       taken, and ``known`` updated, iff k - len(taken) - 1 elements above v
-      (the room) meet the masks v leaves unhit: at once if none are left,
-      never at room 0, by one member of the first mask left at room 1, and
-      by :func:`_min_hitting_search` at room 2 or more.  The last ``known``
-      is the answer.
+      (the room) meet the masks v leaves unhit, as one
+      :func:`_min_hitting_search` capped at the room decides; any minimum
+      set that search completes serves as ``known``.  The last ``known`` is
+      the answer.
     """
     # Mask i fills bits [iW, (i+1)W) of one int joined from the masks' bytes
     # in linear time, so every W-th digit from the right is a column inc[v].
@@ -129,14 +129,7 @@ def _min_hitting_subset(n: int, masks: list[int]) -> tuple[int, frozenset[int]]:
                 continue
             taken = known & (bit - 1)
             room = size - taken.bit_count() - 1
-            left = unhit & ~inc[v]
-            if not left:
-                found = 0
-            elif room < 2:
-                above = masks[(left & -left).bit_length() - 1] & -2 * bit if room else 0
-                found = next((1 << e for e in _bits(above) if not left & ~inc[e]), None)
-            else:
-                _, found = _min_hitting_search(masks, inc, left, 2 * bit - 1, room + 1, room)
+            _, found = _min_hitting_search(masks, inc, unhit & ~inc[v], 2 * bit - 1, room + 1, room)
             if found is None:
                 continue
             known = taken | bit | found
@@ -323,6 +316,16 @@ def _cheapest(steps: tuple[_Step, ...], n_h: int) -> tuple[int, _Step]:
     return cost, steps[costs.index(cost)]
 
 
+def _corona_split(
+    g: Graph, n_h: int, max_order: int | None = None
+) -> tuple[int, frozenset[int], frozenset[int]]:
+    """``(ξ(G ⊙ H), U, L)`` at copy order ``n_h`` off the cached staircase,
+    after the copy-order and budget checks: no product vertex is built."""
+    check_copy_order(n_h)
+    cost, (_, _, upper, lower) = _cheapest(_steps(g, max_order), n_h)
+    return g.n + cost, upper, lower
+
+
 def xi_corona_structured(
     g: Graph, n_h: int, max_order: int | None = None
 ) -> EquidimResult:
@@ -330,16 +333,14 @@ def xi_corona_structured(
     on the base graph alone: the minimum of ``|U| * n_h + |L|`` over the
     valid splits (U, L), with full copies over U and L in the base.
 
-    The result is built on each call from the cheapest step of the cached
-    staircase, after the copy-order and budget checks, so no witness of
-    the product is kept.
+    The witness is built on each call from :func:`_corona_split`, so none
+    is kept; it has ξ(G ⊙ H) product vertices.
     """
-    check_copy_order(n_h)
-    cost, (_, _, upper, lower) = _cheapest(_steps(g, max_order), n_h)
+    value, upper, lower = _corona_split(g, n_h, max_order)
     n = g.n
     # L in the base plus the full copy over each i in U, as corona() lays it out.
     witness = lower.union(*(range(n + i * n_h, n + (i + 1) * n_h) for i in upper))
-    return EquidimResult(n + cost, witness, (upper, lower), n_h)
+    return EquidimResult(value, witness, (upper, lower), n_h)
 
 
 def xi_corona_oracle(g: Graph, h: Graph, max_order: int | None = None) -> EquidimResult:

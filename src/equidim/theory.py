@@ -72,7 +72,7 @@ def bounds_report(g: Graph, n_h: int) -> BoundsReport:
         upper_via_xi = equalizers.xi_bruteforce(g).value * n_h + g.n
     except BudgetError:
         upper_via_xi = None
-    exact = equalizers.xi_corona_structured(g, n_h).value
+    exact = equalizers._corona_split(g, n_h)[0]
     report = BoundsReport(n_h, floor, lower_weak, lower, upper, upper_via_xi, exact)
     _assert_chain(report)
     return report

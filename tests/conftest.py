@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from functools import cached_property
 
 import pytest
 from hypothesis import strategies as st
@@ -65,6 +66,35 @@ def traced_growth(call):
         return tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
+
+
+def traced_peak(call):
+    """Bytes by which tracemalloc's traced memory peaks above its level
+    before ``call()``: what the call holds at its most, dropped or not."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def count_table_builds(monkeypatch):
+    """The list to which each build of ``Graph._forward_and_ghat``, the one
+    BFS pass behind a graph's corona tables, appends its graph from now on."""
+    build = Graph.__dict__["_forward_and_ghat"].func
+    built = []
+
+    def counting(graph):
+        built.append(graph)
+        return build(graph)
+
+    counted = cached_property(counting)
+    counted.__set_name__(Graph, "_forward_and_ghat")
+    monkeypatch.setattr(Graph, "_forward_and_ghat", counted)
+    return built
 
 
 def hard_draws(count):

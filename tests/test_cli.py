@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import clear_solver_caches, traced_growth
+from conftest import clear_solver_caches, traced_growth, traced_peak
 
 import equidim
 from equidim import cli, equalizers
@@ -360,14 +360,43 @@ def test_commands_share_one_corona_search_per_copy_order(capsys, fish_file):
 
 
 def test_a_long_sweep_keeps_no_witness(capsys, fish_file):
-    # Each printed value comes with a witness of about n(H) product
-    # vertices; a sweep that kept them would hold about 49 MiB here.
+    # A witness per printed value, about n(H) product vertices each, would
+    # hold about 49 MiB here if the sweep kept them.
     def sweep():
         assert main(["k-threshold", fish_file, "--sweep", "1..1000"]) == 0
 
     clear_solver_caches()
     assert traced_growth(sweep) < 5 * 2**20
     assert capsys.readouterr().out.splitlines()[-1] == "1000,1006"
+
+
+@pytest.mark.parametrize(
+    "argv, last",
+    [
+        (
+            ("xi-corona", "--nh", "1000000"),
+            "1000006  copies over [4]; base part [1, 2, 3, 4, 5, 6]",
+        ),
+        (
+            ("bounds", "--nh", "1000000"),
+            "floor 6 | lower 1000005/1000005 | exact 1000006 | upper 1000006/2000006",
+        ),
+        (("k-threshold", "--sweep", "1000000..1000002"), "1000002,1000008"),
+    ],
+    ids=["xi-corona", "bounds", "sweep"],
+)
+def test_a_corona_answer_builds_no_product_witness(capsys, fish_file, argv, last):
+    # A witness at n(H) = 10**6 holds 10**6 + 6 product vertices, a traced
+    # peak of about 67 MiB even when dropped at once; these answers read
+    # only the value and the split, so none is built.
+    command, *rest = argv
+
+    def answer():
+        assert main([command, fish_file, *rest]) == 0
+
+    clear_solver_caches()
+    assert traced_peak(answer) < 2**20
+    assert capsys.readouterr().out.splitlines()[-1] == last
 
 
 def test_order_above_the_input_limit_exit_one(capsys, monkeypatch):

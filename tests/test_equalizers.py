@@ -5,7 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import clear_solver_caches, connected_graphs, hard_draws, labelset, traced_growth
+from conftest import (
+    clear_solver_caches,
+    connected_graphs,
+    count_table_builds,
+    hard_draws,
+    labelset,
+    traced_growth,
+)
 from equidim import (
     BudgetError,
     FamilySpec,
@@ -242,20 +249,20 @@ class TestHittingSetSearch:
 
     @pytest.mark.parametrize(
         "name, xi_calls, total_calls",
-        # With a search at every witness step, ξ / ξ_total took 5 / 0
-        # searches on P18 and 14 / 14 on x042.
-        [("P18", 4, 0), ("x042", 4, 11)],
+        # Deciding the steps with room 0 or 1, or that leave no set unhit,
+        # by hand took 4 / 0 searches on P18 and 4 / 11 on x042.
+        [("P18", 5, 0), ("x042", 14, 13)],
     )
-    def test_witness_searches_only_with_room_for_two(
+    def test_one_search_per_undecided_witness_step(
         self, monkeypatch, name, xi_calls, total_calls
     ):
-        # A witness step whose room is 0 or 1, or whose vertex leaves no
-        # set unhit, is decided without a search; the first call sizes.
+        # The first call sizes; each later one decides a vertex outside the
+        # last minimum set found that meets an unhit set, capped at its room.
         search = equalizers._min_hitting_search
         stops = []
 
         def recording(masks, inc, unhit, out, best, stop):
-            stops.append(stop)
+            stops.append((best, stop))
             return search(masks, inc, unhit, out, best, stop)
 
         monkeypatch.setattr(equalizers, "_min_hitting_search", recording)
@@ -267,7 +274,7 @@ class TestHittingSetSearch:
         assert _value_and_witness(xi_total(g)) == total
         total_stops = stops[len(xi_stops):]
         assert (len(xi_stops), len(total_stops)) == (xi_calls, total_calls)
-        assert all(room >= 2 for room in xi_stops[1:] + total_stops[1:])
+        assert all(best == room + 1 >= 1 for best, room in xi_stops[1:] + total_stops[1:])
 
     def test_one_sorted_table_serves_xi_and_xi_total(self, monkeypatch):
         # ξ builds and sorts the pair masks once; ξ_total reads the same
@@ -380,6 +387,15 @@ class TestBestSplit:
                 for n_h in (1, 2, 3, 9):
                     want = oracles.corona_split(g.n, g.edges, n_h)
                     assert _staircase_split(g, n_h) == want, (g.edges, n_h)
+
+    def test_split_reader_matches_the_corona_result(self):
+        # Every connected labelled graph of order at most 6, 27,476 in all.
+        for n in range(1, 7):
+            for g in all_connected_graphs(n):
+                for n_h in (1, 2, 3, 7):
+                    result = xi_corona_structured(g, n_h)
+                    split = (result.value, *result.decomposition)
+                    assert equalizers._corona_split(g, n_h) == split, (g.edges, n_h)
 
     @pytest.mark.parametrize("draw", [82, 95, 113])
     def test_matches_unbounded_search_on_hard_draws(self, draw):
@@ -731,18 +747,7 @@ class TestSolverCaches:
             assert (info.currsize, info.misses, info.hits) == (1, 1, hits[name]), name
 
     def test_a_parsed_graph_builds_its_corona_tables_once(self, fish, monkeypatch):
-        from functools import cached_property
-
-        rows = Graph.__dict__["_forward_and_ghat"].func
-        row_builds = []
-
-        def counted_rows(graph):
-            row_builds.append(graph)
-            return rows(graph)
-
-        counted = cached_property(counted_rows)
-        counted.__set_name__(Graph, "_forward_and_ghat")
-        monkeypatch.setattr(Graph, "_forward_and_ghat", counted)
+        row_builds = count_table_builds(monkeypatch)
         clear_solver_caches()  # the parse memo too, so the graph is fresh
         parsed = parse_edge_list(format_edge_list(fish))
         assert forward_equalized(parsed, ForwardPair(frozenset(range(6)), frozenset()))
@@ -893,24 +898,17 @@ class TestBetaStar:
 
 class TestKThreshold:
     def test_builds_ghat_and_its_cover_once(self, monkeypatch):
-        from functools import cached_property
-
         from equidim import bisectors, covers
 
         # A fresh graph with cold result caches, so nothing is reused.
         g = chorded_path_graph()
         clear_solver_caches()
-        row_builds = []
         builds = []
         solves = []
         # One BFS pass builds the forward masks and the Ĝ rows together.
-        rows = Graph.__dict__["_forward_and_ghat"].func
+        row_builds = count_table_builds(monkeypatch)
         build = bisectors.empty_bisector_graph
         solve = covers.min_cover_size
-
-        def counted_rows(graph):
-            row_builds.append(graph)
-            return rows(graph)
 
         def counted_build(graph):
             builds.append(graph)
@@ -920,9 +918,6 @@ class TestKThreshold:
             solves.append((adj, active))
             return solve(adj, active)
 
-        counted = cached_property(counted_rows)
-        counted.__set_name__(Graph, "_forward_and_ghat")
-        monkeypatch.setattr(Graph, "_forward_and_ghat", counted)
         monkeypatch.setattr(bisectors, "empty_bisector_graph", counted_build)
         monkeypatch.setattr(covers, "min_cover_size", counted_solve)
         line = k_threshold(g)

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from conftest import clear_solver_caches
+from conftest import clear_solver_caches, count_table_builds
 from equidim import cli, covers, equalizers, theory
 from equidim.errors import EquidimError, GraphError
 from equidim.suites import SUITES, _blob, run_suite
@@ -188,10 +188,7 @@ def test_each_graph_blob_is_built_once(name, monkeypatch):
 
 
 def test_corpus_suites_share_one_corpus(monkeypatch):
-    from functools import cached_property
-
     from equidim import suites
-    from equidim.graphs import Graph
 
     samples = []
     sample = theory.seeded_corpus
@@ -200,17 +197,8 @@ def test_corpus_suites_share_one_corpus(monkeypatch):
         samples.append(seed)
         return sample(seed)
 
-    tables = Graph.__dict__["_forward_and_ghat"].func
-    built = []
-
-    def counting_tables(graph):
-        built.append(graph)
-        return tables(graph)
-
-    counted = cached_property(counting_tables)
-    counted.__set_name__(Graph, "_forward_and_ghat")
     monkeypatch.setattr(theory, "seeded_corpus", counting_sample)
-    monkeypatch.setattr(Graph, "_forward_and_ghat", counted)
+    built = count_table_builds(monkeypatch)
     clear_solver_caches()
     for name in CORPUS_SUITES:
         assert run_suite(name, 0).passed, name
