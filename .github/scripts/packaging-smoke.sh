@@ -15,7 +15,10 @@
 # tables are read off the BFS from vertex 0 and the value is the bipartite
 # formula 12 * 3 + 16; C_27 has an odd cycle and runs the BFS from every
 # vertex. The fish xi-corona line at n(H) = 10^9 prints the value and the
-# split only; a witness would hold 10^9 + 6 product vertices.
+# split only; a witness would hold 10^9 + 6 product vertices. The
+# chorded-path beta-star line is the one with a non-empty overlap: its
+# "pair" is the (U, L) decomposition of beta_star's result, and U & L is
+# the overlap.
 set -euo pipefail
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -32,5 +35,6 @@ test "$(equidim gen complete-bipartite 12 16 | equidim xi-corona - --nh 3 --json
 test "$(equidim gen cycle 27 | equidim xi-corona - --nh 3 --json)" = '{"base_part":[0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,24,25,26],"copies_over":[],"nh":3,"value":27}'
 test "$(equidim gen path 28 | equidim k-threshold - --json)" = '{"k":14,"slope":14,"threshold":14,"threshold_bound":"exact"}'
 test "$(equidim gen path 28 | equidim beta-star - --json)" = '{"overlap":[],"pair":[[0,2,4,6,8,10,12,14,16,18,20,22,24,26],[1,3,5,7,9,11,13,15,17,19,21,23,25,27]],"value":0}'
+test "$(equidim gen chorded-path | equidim beta-star - --json)" = '{"overlap":[1],"pair":[[1,2,5,7],[1,3,4,6]],"value":1}'
 test "$(equidim gen fish | equidim k-threshold - --sweep 1..4000 | tail -n 1)" = "4000,4006"
 test "$(equidim gen fish | equidim xi-corona - --nh 1000000000 --json)" = '{"base_part":[1,2,3,4,5,6],"copies_over":[4],"nh":1000000000,"value":1000000006}'

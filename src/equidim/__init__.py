@@ -17,7 +17,6 @@ from .covers import (
     vertex_cover_number,
 )
 from .equalizers import (
-    INFINITE,
     EquidimResult,
     ForwardPair,
     ThresholdLine,
@@ -61,7 +60,6 @@ __all__ = [
     "ForwardPair",
     "Graph",
     "GraphError",
-    "INFINITE",
     "INFINITY",
     "ThresholdLine",
     "beta_star",

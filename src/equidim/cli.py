@@ -142,7 +142,7 @@ def _xi_corona(g: Graph, args, budget):
 
 def _beta_star(g: Graph, args, budget):
     result = equalizers.beta_star(g, max_order=budget)
-    pair = [_labels(g, side) for side in result.pair]
+    pair = [_labels(g, side) for side in result.decomposition]
     overlap = _labels(g, result.witness)
     payload = {"value": result.value, "overlap": overlap, "pair": pair}
     return payload, [f"{result.value}  pair: {pair}  overlap: {overlap}"]

@@ -32,15 +32,10 @@ MAX_EXACT_ORDER = 28
 
 @dataclass(frozen=True)
 class CoverResult:
-    """An optimal value plus a witness set achieving it.
-
-    ``pair`` is populated only by the forward-overlap minimization, which
-    records the two covers whose intersection is the witness.
-    """
+    """An optimal value plus a witness set achieving it."""
 
     value: int
     witness: frozenset[int]
-    pair: tuple[frozenset[int], frozenset[int]] | None = None
 
 
 # -- bitmask core -------------------------------------------------------------

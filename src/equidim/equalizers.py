@@ -18,22 +18,18 @@ vertices, is built from them on each call and never kept.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple
 
 from . import covers
 from .errors import GraphError, check_budget, check_copy_order
-from .graphs import Graph, _bits, corona
+from .graphs import INFINITY, Graph, _bits, corona
 
 #: Order cap for the exact hitting-set searches (ξ and ξ_total) on one graph.
 MAX_BRUTE_ORDER = 18
 #: Order cap for the explicit corona product accepted by the oracle.
 MAX_ORACLE_ORDER = 14
-
-#: Sentinel value of the total variant when no finite set exists.
-INFINITE = math.inf
 
 
 @dataclass(frozen=True)
@@ -50,10 +46,11 @@ class EquidimResult:
 
     ``witness`` lives in whichever graph the operation was asked about (the
     graph itself, or the corona product as :func:`~equidim.graphs.corona`
-    lays it out).  The corona solver additionally reports its ``(U, L)``
-    decomposition over the base vertex set and the copy order ``n_h`` it
-    used.  ``value`` is :data:`INFINITE` exactly when the total variant
-    admits no finite set, in which case ``witness`` is ``None``.
+    lays it out).  The corona solver and :func:`beta_star` report their
+    ``(U, L)`` split over the base vertex set as ``decomposition``, and the
+    corona solver the copy order ``n_h`` it used.  ``value`` is
+    :data:`INFINITY` exactly when the total variant admits no finite set,
+    in which case ``witness`` is ``None``.
     """
 
     value: int | float
@@ -194,28 +191,23 @@ def xi_bruteforce(g: Graph, max_order: int | None = None) -> EquidimResult:
     witness.  The budget check runs before the cache, which keys on ``g``
     (its order and edges): the bounds at each copy order re-read ξ(G)."""
     check_budget(g.n, max_order, MAX_BRUTE_ORDER)
-    return _xi_cached(g)
+    return _xi_solve(g)
 
 
+@lru_cache(maxsize=4096)
 def _xi_solve(g: Graph) -> EquidimResult:
     return EquidimResult(*_min_hitting_subset(g.n, _equalizer_masks(g)))
 
 
-_xi_cached = lru_cache(maxsize=4096)(_xi_solve)
-# Read and cleared through the public name, as the staircase cache is.
-xi_bruteforce.cache_info = _xi_cached.cache_info
-xi_bruteforce.cache_clear = _xi_cached.cache_clear
-
-
 def xi_total(g: Graph, max_order: int | None = None) -> EquidimResult:
-    """Minimum set equalizing every pair of vertices, or the infinite
-    sentinel when some bisector is empty (the empty bisector graph has an
-    edge)."""
+    """Minimum set equalizing every pair of vertices, or value
+    :data:`INFINITY` with no witness when some bisector is
+    empty (the empty bisector graph has an edge)."""
     check_budget(g.n, max_order, MAX_BRUTE_ORDER)
     table, low = g.pair_masks, g._fold
     # Shortest first, so an empty B(u, v) would come first.
     if table and not table[0] & low:
-        return EquidimResult(INFINITE, None)
+        return EquidimResult(INFINITY, None)
     return EquidimResult(*_min_hitting_subset(g.n, [mask & low for mask in table]))
 
 
@@ -345,24 +337,24 @@ def xi_corona_structured(
 
 def xi_corona_oracle(g: Graph, h: Graph, max_order: int | None = None) -> EquidimResult:
     """Exact corona dimension by the ξ search on the explicit product graph,
-    which bypasses the ξ cache: no product is asked for twice."""
+    uncached (``_xi_solve.__wrapped__``): no product is asked for twice."""
     order = g.n * (1 + h.n)
     check_budget(order, max_order, MAX_ORACLE_ORDER)
     # The product is connected iff g is, and its own table checks that.
-    return replace(_xi_solve(corona(g, h)), n_h=h.n)
+    return replace(_xi_solve.__wrapped__(corona(g, h)), n_h=h.n)
 
 
-def beta_star(g: Graph, max_order: int | None = None) -> covers.CoverResult:
+def beta_star(g: Graph, max_order: int | None = None) -> EquidimResult:
     """Minimum overlap ``|U & L|`` over pairs of vertex covers of the empty
     bisector graph that jointly cover all vertices and admit the step-ahead
     witnesses.
 
     The overlap of a split is t(U), so this is the last step of the
     cached staircase, the least T, with U & L as witness and (U, L) as the
-    pair.
+    decomposition.
     """
     _, t, upper, lower = _steps(g, max_order)[-1]
-    return covers.CoverResult(t, upper & lower, (upper, lower))
+    return EquidimResult(t, upper & lower, (upper, lower))
 
 
 # Both names read and clear the one staircase cache, which

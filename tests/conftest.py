@@ -47,7 +47,7 @@ def clear_solver_caches():
     next call on any graph parses and solves, and the next corpus suite
     samples its graphs afresh.  Only the argument parser memo is kept."""
     for cache in (
-        equalizers.xi_bruteforce,
+        equalizers._xi_solve,
         equalizers.beta_star,  # the staircase, also read by xi_corona_structured
         cli._parse_args,
         fileio.parse_edge_list,

@@ -335,7 +335,7 @@ def test_verify_bounds_solves_xi_once_per_corpus_graph(capsys):
     clear_solver_caches()
     code, out, _ = run(capsys, "verify", "bounds", "--seed", "0", "--json")
     assert code == 0 and json.loads(out)["passed"]
-    info = equalizers.xi_bruteforce.cache_info()
+    info = equalizers._xi_solve.cache_info()
     distinct = len(set(seeded_corpus(0)))
     assert distinct <= 50 and info.misses == distinct
     assert info.hits == 5 * len(seeded_corpus(0)) - distinct

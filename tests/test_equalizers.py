@@ -19,6 +19,7 @@ from equidim import (
     ForwardPair,
     Graph,
     GraphError,
+    INFINITY,
     beta_star,
     bipartite_formula,
     bisector,
@@ -122,6 +123,9 @@ class TestXiTotal:
     def test_finite_iff_edgeless_empty_bisector_graph(self, fish):
         assert empty_bisector_graph(fish).graph.m > 0
         assert xi_total(fish).value == math.inf
+
+    def test_no_finite_set_reads_the_one_infinity(self):
+        assert xi_total(cycle_graph(18)).value is INFINITY
 
 
 def _edges(text):
@@ -488,6 +492,30 @@ class TestXiCoronaStructured:
         xi_corona_structured(chorded_path_graph(), n_h)
         assert len(pulled) == 1
 
+    def test_staircase_stops_where_the_floor_reaches_the_least_t(self, monkeypatch):
+        # α(Ĝ) = 5.  The first cover, of size 5, sets the least t(U) to 2,
+        # and the next two (sizes 5 and 6) do not beat it.  The fourth has
+        # size 7, so |U| - α(Ĝ) = 2 rules it out before t(U) is solved: three
+        # min_cover_size calls, where solving it too would make four.
+        from equidim import covers
+
+        g = Graph(
+            10, [(0, 1), (0, 2), (2, 6), (3, 8), (4, 5), (4, 6), (4, 9), (5, 6), (5, 8), (7, 8)]
+        )
+        solve = covers.min_cover_size
+        solves = []
+
+        def counted(adj, active):
+            solves.append(active)
+            return solve(adj, active)
+
+        monkeypatch.setattr(covers, "min_cover_size", counted)
+        clear_solver_caches()
+        steps = equalizers._staircase(g)
+        assert steps == ((5, 2, frozenset({0, 4, 6, 8, 9}), frozenset({1, 2, 3, 4, 5, 7, 9})),)
+        assert equalizers.ghat_stats(g) == (5, 5)
+        assert len(solves) == 3
+
     def test_cold_request_builds_no_layers_and_no_connectivity_flag(self):
         # The corona tables come from their own BFS pass, which also
         # rejects a disconnected graph, so neither of these is built.
@@ -700,7 +728,7 @@ class TestCoronaCache:
 #: part in its identity; the staircase cache is read through ``beta_star``
 #: and ``xi_corona_structured``, and no corona result is cached.
 SOLVER_CACHES = {
-    "xi": xi_bruteforce,
+    "xi": equalizers._xi_solve,
     "staircase": beta_star,
 }
 
@@ -777,9 +805,9 @@ class TestSolverCaches:
     def test_oracle_leaves_the_xi_cache_alone(self):
         g = cycle_graph(3)
         xi_bruteforce(g)
-        before = xi_bruteforce.cache_info()
+        before = equalizers._xi_solve.cache_info()
         assert xi_corona_oracle(g, path_graph(2)).value == 3
-        assert xi_bruteforce.cache_info() == before
+        assert equalizers._xi_solve.cache_info() == before
 
     @pytest.mark.parametrize("call", REJECTED_CALLS.values(), ids=REJECTED_CALLS)
     def test_rejected_call_caches_nothing(self, call):
@@ -838,7 +866,7 @@ class TestStructuredOracleAgreement:
 
 
 def _assert_pair_contract(g, result):
-    upper, lower = result.pair
+    upper, lower = result.decomposition
     ghat = empty_bisector_graph(g).graph
     assert is_vertex_cover(ghat, upper) and is_vertex_cover(ghat, lower)
     assert upper | lower == frozenset(range(g.n))
@@ -854,7 +882,7 @@ class TestBetaStar:
     def test_pendant_triangle(self, pendant_triangle):
         result = beta_star(pendant_triangle)
         assert result.value == 0
-        upper, lower = result.pair
+        upper, lower = result.decomposition
         assert upper & lower == result.witness == frozenset()
 
     def test_k5_leaves(self, k5_leaves):
@@ -877,7 +905,7 @@ class TestBetaStar:
         result = beta_star(g)
         assert result.value == value
         assert result.witness == labelset(g, *overlap)
-        assert result.pair == (labelset(g, *upper), labelset(g, *lower))
+        assert result.decomposition == (labelset(g, *upper), labelset(g, *lower))
 
     @settings(max_examples=40, deadline=None)
     @given(connected_graphs(min_n=1, max_n=6))
