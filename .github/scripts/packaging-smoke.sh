@@ -18,7 +18,9 @@
 # split only; a witness would hold 10^9 + 6 product vertices. The
 # chorded-path beta-star line is the one with a non-empty overlap: its
 # "pair" is the (U, L) decomposition of beta_star's result, and U & L is
-# the overlap.
+# the overlap. The last line checks the console script's error exit: a
+# --sweep range without ".." must exit non-zero with exactly one error line
+# on stderr; the tier-1 tests run the CLI only as `python -m equidim.cli`.
 set -euo pipefail
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -38,3 +40,8 @@ test "$(equidim gen path 28 | equidim beta-star - --json)" = '{"overlap":[],"pai
 test "$(equidim gen chorded-path | equidim beta-star - --json)" = '{"overlap":[1],"pair":[[1,2,5,7],[1,3,4,6]],"value":1}'
 test "$(equidim gen fish | equidim k-threshold - --sweep 1..4000 | tail -n 1)" = "4000,4006"
 test "$(equidim gen fish | equidim xi-corona - --nh 1000000000 --json)" = '{"base_part":[1,2,3,4,5,6],"copies_over":[4],"nh":1000000000,"value":1000000006}'
+if err="$(equidim gen fish | equidim k-threshold - --sweep 1.4 2>&1 >/dev/null)"; then
+    echo "k-threshold --sweep 1.4 exited 0" >&2
+    exit 1
+fi
+test "$err" = "error: bad range '1.4', expected A..B"

@@ -10,14 +10,13 @@ lexicographically largest (the complement of the smallest minimum cover).
 
 from .bisectors import EmptyBisectorGraph, bisector, empty_bisector_graph
 from .covers import (
-    CoverResult,
+    EquidimResult,
     clique_number,
     independence_number,
     is_vertex_cover,
     vertex_cover_number,
 )
 from .equalizers import (
-    EquidimResult,
     ForwardPair,
     ThresholdLine,
     beta_star,
@@ -50,7 +49,6 @@ from .theory import (
 __all__ = [
     "BoundsReport",
     "BudgetError",
-    "CoverResult",
     "Ecc2Report",
     "EmptyBisectorGraph",
     "EquidimError",

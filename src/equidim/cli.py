@@ -170,7 +170,7 @@ def _forward_check(g: Graph, args, budget):
 def _bounds(g: Graph, args, budget):
     report = theory.bounds_report(g, args.nh)
     fields = ("floor", "lower_weak", "lower", "upper", "upper_via_xi", "exact")
-    payload = {"nh": report.n_h, **{name: getattr(report, name) for name in fields}}
+    payload = {"nh": args.nh, **{name: getattr(report, name) for name in fields}}
     return payload, [
         f"floor {report.floor} | lower {report.lower_weak}/{report.lower} | "
         f"exact {report.exact} | upper {report.upper}/{report.upper_via_xi}"

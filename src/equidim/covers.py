@@ -15,7 +15,8 @@ stream :func:`iter_cover_masks` runs it from the clique-partition lower
 bound up, :func:`lexmin_cover` takes its first cover, :func:`min_cover_size`
 returns the first size from that bound up that has a cover, and
 :func:`clique_number` solves covers of the complement, whose independent
-sets are the cliques.
+sets are the cliques.  Every solver in the package answers with the one
+record :class:`EquidimResult`, defined here.
 """
 
 from __future__ import annotations
@@ -31,11 +32,17 @@ MAX_EXACT_ORDER = 28
 
 
 @dataclass(frozen=True)
-class CoverResult:
-    """An optimal value plus a witness set achieving it."""
+class EquidimResult:
+    """An optimal value with a witness set achieving it, in the graph asked
+    about (a corona's in the product as :func:`~equidim.graphs.corona` lays
+    it out).  ``decomposition`` is the ``(U, L)`` split over the base of the
+    corona solver and ``beta_star``.  ``value`` is ``INFINITY``, and
+    ``witness`` ``None``, exactly when the total variant has no finite set.
+    """
 
-    value: int
-    witness: frozenset[int]
+    value: int | float
+    witness: frozenset[int] | None
+    decomposition: tuple[frozenset[int], frozenset[int]] | None = None
 
 
 # -- bitmask core -------------------------------------------------------------
@@ -164,16 +171,16 @@ def is_vertex_cover(g: Graph, s: Iterable[int]) -> bool:
     return all(mask >> u & 1 or mask >> v & 1 for u, v in g.edges)
 
 
-def vertex_cover_number(g: Graph, max_order: int | None = None) -> CoverResult:
+def vertex_cover_number(g: Graph, max_order: int | None = None) -> EquidimResult:
     """Exact minimum vertex cover with the lexicographically smallest witness."""
     check_budget(g.n, max_order, MAX_EXACT_ORDER)
     full = (1 << g.n) - 1
     size = min_cover_size(g.adjacency_bits, full)
     witness = lexmin_cover(g.adjacency_bits, full, 0, size)
-    return CoverResult(size, frozenset(_bits(witness)))
+    return EquidimResult(size, frozenset(_bits(witness)))
 
 
-def independence_number(g: Graph, max_order: int | None = None) -> CoverResult:
+def independence_number(g: Graph, max_order: int | None = None) -> EquidimResult:
     """Maximum independent set, as order minus the vertex cover number.
 
     The witness is the complement of the lex-smallest minimum cover, so it is
@@ -186,10 +193,10 @@ def independence_number(g: Graph, max_order: int | None = None) -> CoverResult:
     mask = g.mask(witness)
     if any(g.adjacency_bits[v] & mask for v in witness):
         raise AssertionError("cover complement is not independent; solver bug")
-    return CoverResult(g.n - cover.value, witness)
+    return EquidimResult(g.n - cover.value, witness)
 
 
-def clique_number(g: Graph, max_order: int | None = None) -> CoverResult:
+def clique_number(g: Graph, max_order: int | None = None) -> EquidimResult:
     """Exact maximum clique with the lexicographically smallest witness.
 
     A clique within ``cand`` is an independent set of the complement, so
@@ -216,7 +223,7 @@ def clique_number(g: Graph, max_order: int | None = None) -> CoverResult:
                 break
         else:
             raise AssertionError("no extension of a partial maximum clique; solver bug")
-    return CoverResult(size, frozenset(_bits(fixed)))
+    return EquidimResult(size, frozenset(_bits(fixed)))
 
 
 def iter_cover_masks(

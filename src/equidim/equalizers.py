@@ -18,11 +18,12 @@ vertices, is built from them on each call and never kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 from . import covers
+from .covers import EquidimResult
 from .errors import GraphError, check_budget, check_copy_order
 from .graphs import INFINITY, Graph, _bits, corona
 
@@ -38,25 +39,6 @@ class ForwardPair:
 
     x: frozenset[int]
     y: frozenset[int]
-
-
-@dataclass(frozen=True)
-class EquidimResult:
-    """An equidistant dimension value with its witness.
-
-    ``witness`` lives in whichever graph the operation was asked about (the
-    graph itself, or the corona product as :func:`~equidim.graphs.corona`
-    lays it out).  The corona solver and :func:`beta_star` report their
-    ``(U, L)`` split over the base vertex set as ``decomposition``, and the
-    corona solver the copy order ``n_h`` it used.  ``value`` is
-    :data:`INFINITY` exactly when the total variant admits no finite set,
-    in which case ``witness`` is ``None``.
-    """
-
-    value: int | float
-    witness: frozenset[int] | None
-    decomposition: tuple[frozenset[int], frozenset[int]] | None = None
-    n_h: int | None = None
 
 
 class ThresholdLine(NamedTuple):
@@ -332,16 +314,17 @@ def xi_corona_structured(
     n = g.n
     # L in the base plus the full copy over each i in U, as corona() lays it out.
     witness = lower.union(*(range(n + i * n_h, n + (i + 1) * n_h) for i in upper))
-    return EquidimResult(value, witness, (upper, lower), n_h)
+    return EquidimResult(value, witness, (upper, lower))
 
 
 def xi_corona_oracle(g: Graph, h: Graph, max_order: int | None = None) -> EquidimResult:
     """Exact corona dimension by the ξ search on the explicit product graph,
-    uncached (``_xi_solve.__wrapped__``): no product is asked for twice."""
+    uncached (``_xi_solve.__wrapped__``): no product is asked for twice.
+    The witness lives in the product, and there is no decomposition."""
     order = g.n * (1 + h.n)
     check_budget(order, max_order, MAX_ORACLE_ORDER)
     # The product is connected iff g is, and its own table checks that.
-    return replace(_xi_solve.__wrapped__(corona(g, h)), n_h=h.n)
+    return _xi_solve.__wrapped__(corona(g, h))
 
 
 def beta_star(g: Graph, max_order: int | None = None) -> EquidimResult:

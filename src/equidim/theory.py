@@ -19,13 +19,12 @@ from .graphs import Graph, _bits
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """All general bounds next to the exact value for one base graph and one
-    copy order.  Only ``upper_via_xi`` can be ``None``: ξ(G) is skipped
-    above its own order cap.  The values always satisfy ``floor <= exact``
-    and ``lower_weak <= lower <= exact <= upper <= upper_via_xi``.
+    """All general bounds next to the exact value for one base graph at the
+    copy order passed.  Only ``upper_via_xi`` can be ``None``: ξ(G) is
+    skipped above its own order cap.  The values always satisfy ``floor <=
+    exact`` and ``lower_weak <= lower <= exact <= upper <= upper_via_xi``.
     """
 
-    n_h: int
     floor: int
     lower_weak: int
     lower: int
@@ -38,15 +37,14 @@ class BoundsReport:
 class FormulaValue:
     """Result of one closed-formula clause.
 
-    The bistar clause is flagged: the expression ``r*n(H) + s`` would need
-    partite sets of sizes r and s, but the order-(r+s+2) bistar has parts of
-    sizes r+1 and s+1.  Both values are reported; ``alternate_value``
-    carries the bipartite-rule value, the same expression at r+1 and s+1,
-    which is the one the verification suites trust.
+    Only the bistar clause, which is flagged, has an ``alternate_value``:
+    ``r*n(H) + s`` would need partite sets of sizes r and s, but the
+    order-(r+s+2) bistar has parts of sizes r+1 and s+1.  The alternate is
+    the bipartite-rule value, the same expression at r+1 and s+1, which is
+    the one the verification suites trust.
     """
 
     value: int
-    flagged: bool = False
     alternate_value: int | None = None
 
 
@@ -73,7 +71,7 @@ def bounds_report(g: Graph, n_h: int) -> BoundsReport:
     except BudgetError:
         upper_via_xi = None
     exact = equalizers._corona_split(g, n_h)[0]
-    report = BoundsReport(n_h, floor, lower_weak, lower, upper, upper_via_xi, exact)
+    report = BoundsReport(floor, lower_weak, lower, upper, upper_via_xi, exact)
     _assert_chain(report)
     return report
 
@@ -105,7 +103,8 @@ _CLAUSES = {
 
 
 def closed_formula(spec: FamilySpec, n_h: int) -> FormulaValue:
-    """Corona dimension of a named family by its closed-form clause."""
+    """Corona dimension of a named family by its closed-form clause, plus
+    the bipartite-rule ``alternate_value`` when the clause is bistar's."""
     check_copy_order(n_h)
     if spec.name not in _CLAUSES:
         raise GraphError(f"no closed formula for {spec.name!r}; covered: {', '.join(_CLAUSES)}")
@@ -113,9 +112,8 @@ def closed_formula(spec: FamilySpec, n_h: int) -> FormulaValue:
     condition, stated, value = _CLAUSES[spec.name]
     if not condition(*spec.params):
         raise GraphError(f"{spec.name} clause needs {stated}, got {list(spec.params)}")
-    bistar = spec.name == "bistar"
-    alternate = value(n_h, *(p + 1 for p in spec.params)) if bistar else None
-    return FormulaValue(value(n_h, *spec.params), bistar, alternate)
+    alternate = value(n_h, *(p + 1 for p in spec.params)) if spec.name == "bistar" else None
+    return FormulaValue(value(n_h, *spec.params), alternate)
 
 
 def xi_equals_order_characterization(g: Graph, n_h: int) -> tuple[bool, str]:

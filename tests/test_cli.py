@@ -209,6 +209,25 @@ def test_forward_check_sets_led_by_a_negative_label(capsys, tmp_path, sets):
     assert (code, out, err) == (0, "forward-equalized\n", "")
 
 
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (("k-threshold", "--sweep", "1.4"), 1, "", "error: bad range '1.4', expected A..B\n"),
+        (
+            ("forward-check", "--x", "a", "--y", "4"),
+            1,
+            "",
+            "error: vertex labels must be integers, got 'a'\n",
+        ),
+        (("forward-check", "--x", "1,,2,3,4,5,6", "--y", "4"), 0, "forward-equalized\n", ""),
+    ],
+    ids=["range-without-dots", "non-integer-label", "empty-label-field"],
+)
+def test_range_and_label_set_arguments(capsys, fish_file, argv, code, out, err):
+    command, *rest = argv
+    assert run(capsys, command, fish_file, *rest) == (code, out, err)
+
+
 def test_bounds(capsys, fish_file):
     code, out, _ = run(capsys, "bounds", fish_file, "--nh", "1", "--json")
     payload = json.loads(out)

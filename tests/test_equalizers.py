@@ -665,12 +665,14 @@ def test_non_integer_vertex_rejected(fish, call, member):
 
 class TestCopyOrder:
     def test_rejected_bool_order_leaves_the_cache_clean(self):
-        # A base no other test uses, so the first call here is a miss.
+        # An empty staircase cache, so no full cache can hide a new entry.
+        xi_corona_structured.cache_clear()
         g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 4), (0, 5)])
         with pytest.raises(GraphError, match="copy order must be a positive integer"):
             xi_corona_structured(g, True)
+        assert xi_corona_structured.cache_info().currsize == 0
         result = xi_corona_structured(g, 1)
-        assert type(result.n_h) is int and result.n_h == 1
+        assert result.value == xi_corona_oracle(g, empty_graph(1)).value
 
     @pytest.mark.parametrize("n_h", [0, True, 2.5, -1])
     def test_bounds_and_formula_reject_before_any_search(self, n_h):

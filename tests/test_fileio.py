@@ -76,6 +76,7 @@ def test_hypercube_labels_fall_back_to_indices():
     [
         ("", "line 1"),
         ("nope\n", "line 1"),
+        ("x 3\n", "line 1: header entries must be integers"),
         ("2 1\n0 0\n", "line 2: self-loop"),
         ("2 1\n0 x\n", "line 2"),
         ("2 2\n0 1\n", "announced 2 edges"),

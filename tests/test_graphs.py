@@ -77,6 +77,10 @@ class TestConstruction:
         with pytest.raises(GraphError, match="distinct"):
             Graph(2, [], labels=(7, 7))
 
+    def test_labels_must_match_the_order(self):
+        with pytest.raises(GraphError, match="^expected 3 labels, got 2$"):
+            Graph(3, labels=(1, 2))
+
     def test_label_round_trip(self, fish):
         for v in range(fish.n):
             assert fish.index_of(fish.label_of(v)) == v

@@ -103,12 +103,12 @@ class TestClosedFormula:
 
     def test_bistar_flagged_with_both_values(self):
         f = closed_formula(FamilySpec("bistar", (2, 3)), 2)
-        assert f.flagged
+        assert f.alternate_value is not None
         assert f.value == 2 * 2 + 3
         assert f.alternate_value == 3 * 2 + 4
 
     def test_other_clauses_not_flagged(self):
-        assert not closed_formula(FamilySpec("wheel", (5,)), 1).flagged
+        assert closed_formula(FamilySpec("wheel", (5,)), 1).alternate_value is None
 
     @pytest.mark.parametrize(
         "spec",
@@ -156,7 +156,7 @@ class TestClosedFormula:
             g = generate(spec)
             for n_h in (1, 2, 3, 5, 9):
                 f = closed_formula(spec, n_h)
-                expected = f.alternate_value if f.flagged else f.value
+                expected = f.alternate_value if f.alternate_value is not None else f.value
                 assert xi_corona_structured(g, n_h).value == expected, (spec, n_h)
 
 
@@ -332,6 +332,20 @@ class TestSamplers:
     def test_single_sampler_rejects_bad_order(self):
         with pytest.raises(GraphError):
             random_connected_graph(random.Random(0), 0, 0.5)
+
+    @pytest.mark.parametrize(
+        "sample",
+        [lambda: random_connected_bipartite(random.Random(0), 0), lambda: all_connected_graphs(0)],
+        ids=["bipartite", "census"],
+    )
+    def test_other_samplers_reject_order_zero(self, sample):
+        with pytest.raises(GraphError, match="^order must be positive, got 0$"):
+            sample()
+
+    def test_sampler_gives_up_after_its_tries(self):
+        message = r"^no connected sample after 5 tries \(n=3, p=0\.0\)$"
+        with pytest.raises(GraphError, match=message):
+            random_connected_graph(random.Random(0), 3, 0.0, max_tries=5)
 
     def test_census_counts(self):
         assert [len(all_connected_graphs(n)) for n in (1, 2, 3, 4)] == [1, 1, 4, 38]
