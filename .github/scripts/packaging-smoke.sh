@@ -18,9 +18,13 @@
 # split only; a witness would hold 10^9 + 6 product vertices. The
 # chorded-path beta-star line is the one with a non-empty overlap: its
 # "pair" is the (U, L) decomposition of beta_star's result, and U & L is
-# the overlap. The last line checks the console script's error exit: a
-# --sweep range without ".." must exit non-zero with exactly one error line
-# on stderr; the tier-1 tests run the CLI only as `python -m equidim.cli`.
+# the overlap. The fish bounds and k-threshold lines pin the two payloads
+# the CLI assembles itself: the bounds JSON is "nh" plus every field of the
+# bounds report, and the k-threshold text line carries "(threshold bound:
+# exact)", which the solver's ThresholdLine does not hold. The last line
+# checks the console script's error exit: a --sweep range without ".."
+# must exit non-zero with exactly one error line on stderr; the tier-1
+# tests run the CLI only as `python -m equidim.cli`.
 set -euo pipefail
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -40,6 +44,8 @@ test "$(equidim gen path 28 | equidim beta-star - --json)" = '{"overlap":[],"pai
 test "$(equidim gen chorded-path | equidim beta-star - --json)" = '{"overlap":[1],"pair":[[1,2,5,7],[1,3,4,6]],"value":1}'
 test "$(equidim gen fish | equidim k-threshold - --sweep 1..4000 | tail -n 1)" = "4000,4006"
 test "$(equidim gen fish | equidim xi-corona - --nh 1000000000 --json)" = '{"base_part":[1,2,3,4,5,6],"copies_over":[4],"nh":1000000000,"value":1000000006}'
+test "$(equidim gen fish | equidim bounds - --nh 2 --json)" = '{"exact":8,"floor":6,"lower":7,"lower_weak":7,"nh":2,"upper":8,"upper_via_xi":10}'
+test "$(equidim gen fish | equidim k-threshold -)" = 'xi = 1*n(H) + 6 for n(H) > 2 (threshold bound: exact)'
 if err="$(equidim gen fish | equidim k-threshold - --sweep 1.4 2>&1 >/dev/null)"; then
     echo "k-threshold --sweep 1.4 exited 0" >&2
     exit 1

@@ -43,15 +43,12 @@ class ForwardPair:
 
 class ThresholdLine(NamedTuple):
     """Eventual line ``slope * n(H) + k`` of the corona dimension, valid for
-    every copy order strictly above ``threshold``."""
+    every copy order strictly above ``threshold``.  The threshold is always
+    exact: β* is solved at every order the cover cap accepts."""
 
     k: int
     threshold: int
     slope: int
-    # Always "exact": β* is solved at every order the cover cap accepts.
-    # The field stays because k-threshold's JSON carries it, which the
-    # benchmark's cli-corpus digests and tests/cli_golden.json pin.
-    threshold_bound: str
 
 
 # -- the defining predicate and the hitting-set search ---------------------------
@@ -368,4 +365,4 @@ def k_threshold(g: Graph, max_order: int | None = None) -> ThresholdLine:
         raise AssertionError(
             f"intercept {k} escapes its proven range [{alpha + overlap}, {g.n}]"
         )
-    return ThresholdLine(k, threshold, beta, "exact")
+    return ThresholdLine(k, threshold, beta)

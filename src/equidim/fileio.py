@@ -1,14 +1,16 @@
-"""Edge-list text format and DOT export.
+"""Edge-list text format, DOT export and canonical JSON.
 
 Format: the first significant line is ``n m``; the next ``m`` significant
 lines are ``u v`` with integer vertex labels.  Blank lines and ``#``
 comments are ignored.  Labels are arbitrary integers: they are remapped to
 internal indices by sorted order and preserved on the graph.  A declared
-order above :data:`MAX_INPUT_ORDER` is rejected.
+order above :data:`MAX_INPUT_ORDER` is rejected.  :func:`canonical_json`
+writes every report the CLI and the suites print as JSON.
 """
 
 from __future__ import annotations
 
+import json
 from functools import lru_cache
 
 from .errors import GraphError
@@ -111,3 +113,8 @@ def to_dot(g: Graph) -> str:
     lines.extend(f"  {ids[u]} -- {ids[v]};" for u, v in g.edges)
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def canonical_json(data) -> str:
+    """Sorted keys and fixed separators; ``data`` is fresh, so no cycle check."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":"), check_circular=False)

@@ -15,7 +15,6 @@ g-vs-ghat) share one seeded corpus per process, memoized for one seed.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -24,6 +23,7 @@ from . import covers, equalizers, theory
 from .bisectors import empty_bisector_graph
 from .errors import EquidimError
 from .families import FamilySpec, generate
+from .fileio import canonical_json
 from .graphs import Graph
 
 
@@ -74,10 +74,7 @@ class SuiteReport:
         }
 
     def to_json(self) -> str:
-        # to_jsonable() builds fresh plain data with no cycle to check for.
-        return json.dumps(
-            self.to_jsonable(), sort_keys=True, separators=(",", ":"), check_circular=False
-        )
+        return canonical_json(self.to_jsonable())
 
 
 def _blob(g: Graph) -> dict:
@@ -98,11 +95,10 @@ def _corpus(seed: int) -> tuple[tuple[str, Graph, dict], ...]:
 # -- individual suites ----------------------------------------------------------
 
 
-def suite_table1(seed: int = 0) -> SuiteReport:
+def suite_table1(report: SuiteReport) -> None:
     """Reference value table for the fish example: sharp lower bound, the two
     canonical decompositions, the general upper bound, and the exact value
     for copy orders one to three."""
-    report = SuiteReport("table1", seed)
     g = generate(FamilySpec("fish"))
     ghat = empty_bisector_graph(g).graph
     u1 = frozenset({g.index_of(4)})
@@ -124,13 +120,11 @@ def suite_table1(seed: int = 0) -> SuiteReport:
         s2 = len(u2) * n_h + len(l2)
         got = (bounds.lower, s1, s2, bounds.upper, bounds.exact)
         report.expect(f"fish/nh={n_h}", got, row, **blob)
-    return report
 
 
-def suite_fig7(seed: int = 0) -> SuiteReport:
+def suite_fig7(report: SuiteReport) -> None:
     """Two-slope curve of the pendant-triangle example: the exact values sit
     on one line up to copy order two and on a flatter line afterwards."""
-    report = SuiteReport("fig7", seed)
     g = generate(FamilySpec("pendant-triangle"))
     expected = {1: 8, 2: 12, 3: 16, 4: 19, 5: 22, 6: 25}
     blob = _blob(g)
@@ -139,7 +133,6 @@ def suite_fig7(seed: int = 0) -> SuiteReport:
         report.expect(f"pendant-triangle/nh={n_h}", got, want, **blob)
         line = 4 * n_h + 4 if n_h <= 2 else 3 * n_h + 7
         report.expect(f"pendant-triangle/line/nh={n_h}", got, line)
-    return report
 
 
 _FAMILY_SPECS = tuple(
@@ -158,11 +151,10 @@ _FAMILY_SPECS = tuple(
 )
 
 
-def suite_families(seed: int = 0) -> SuiteReport:
+def suite_families(report: SuiteReport) -> None:
     """Closed formulas against the structured solver on the smallest members
     of every covered family; a flagged clause (bistar) is checked against
     its bipartite-rule value rather than its published expression."""
-    report = SuiteReport("families", seed)
     for spec in _FAMILY_SPECS:
         g = generate(spec)
         blob = _blob(g)
@@ -181,13 +173,11 @@ def suite_families(seed: int = 0) -> SuiteReport:
                 )
             else:
                 report.expect(key, exact, formula.value, **blob)
-    return report
 
 
-def suite_bounds(seed: int = 0) -> SuiteReport:
+def suite_bounds(report: SuiteReport) -> None:
     """Bound chains: the fixed worked examples first, then the seeded random
     corpus for copy orders one to five."""
-    report = SuiteReport("bounds", seed)
     chorded = generate(FamilySpec("chorded-path"))
     chorded_blob = _blob(chorded)
     beta, alpha = equalizers.ghat_stats(chorded)
@@ -202,22 +192,20 @@ def suite_bounds(seed: int = 0) -> SuiteReport:
             4 * n_h + 4,
             **chorded_blob,
         )
-    for tag, g, blob in _corpus(seed):
+    for tag, g, blob in _corpus(report.seed):
         for n_h in range(1, 6):
             report.record(
                 f"{tag}/nh={n_h}",
                 lambda g=g, n_h=n_h: {"exact": theory.bounds_report(g, n_h).exact},
                 **blob,
             )
-    return report
 
 
-def suite_bipartite(seed: int = 0) -> SuiteReport:
+def suite_bipartite(report: SuiteReport) -> None:
     """Bipartite base graphs: the empty bisector graph is complete bipartite
     on the same color classes, and the two-coloring formula matches the
     structured solver."""
-    report = SuiteReport("bipartite", seed)
-    rng = random.Random(seed)
+    rng = random.Random(report.seed)
     samples = [theory.random_connected_bipartite(rng, rng.randint(2, 12)) for _ in range(30)]
     for idx, g in enumerate(samples):
         big, small = theory.two_coloring(g)
@@ -238,28 +226,24 @@ def suite_bipartite(seed: int = 0) -> SuiteReport:
                 theory.bipartite_formula(g, n_h),
                 **blob,
             )
-    return report
 
 
-def suite_gallai(seed: int = 0) -> SuiteReport:
+def suite_gallai(report: SuiteReport) -> None:
     """Cover number plus independence number equals the order, checked on
     the empty bisector graphs of the random corpus."""
-    report = SuiteReport("gallai", seed)
-    for tag, g, blob in _corpus(seed):
+    for tag, g, blob in _corpus(report.seed):
         ghat = empty_bisector_graph(g).graph
         # Two searches, so the sum can miss n: β is the staircase's first
         # cover, α comes from a cover search on the Ĝ graph.
         beta = equalizers.ghat_stats(g)[0]
         alpha = covers.independence_number(ghat).value
         report.expect(f"{tag}/gallai", alpha + beta, ghat.n, **blob)
-    return report
 
 
-def suite_characterization(seed: int = 0) -> SuiteReport:
+def suite_characterization(report: SuiteReport) -> None:
     """The predicate for the corona dimension equalling the base order agrees
     with the exact value on every corpus instance."""
-    report = SuiteReport("characterization", seed)
-    for tag, g, blob in _corpus(seed):
+    for tag, g, blob in _corpus(report.seed):
         for n_h in range(1, 6):
             predicted, clause = theory.xi_equals_order_characterization(g, n_h)
             exact = equalizers.xi_corona_structured(g, n_h).value
@@ -271,14 +255,12 @@ def suite_characterization(seed: int = 0) -> SuiteReport:
                 exact=exact,
                 **blob,
             )
-    return report
 
 
-def suite_linearity(seed: int = 0) -> SuiteReport:
+def suite_linearity(report: SuiteReport) -> None:
     """Beyond the threshold the exact values sit exactly on the slope/intercept
     line and use a smallest cover; at or below it they stay on or under it."""
-    report = SuiteReport("linearity", seed)
-    for tag, g, blob in _corpus(seed):
+    for tag, g, blob in _corpus(report.seed):
         line = equalizers.k_threshold(g)
         for n_h in range(1, line.threshold + 5):
             result = equalizers.xi_corona_structured(g, n_h)
@@ -298,14 +280,12 @@ def suite_linearity(seed: int = 0) -> SuiteReport:
                     line=wanted,
                     **blob,
                 )
-    return report
 
 
-def suite_oracle_equivalence(seed: int = 0) -> SuiteReport:
+def suite_oracle_equivalence(report: SuiteReport) -> None:
     """The structured solver equals the product-graph exact search on every
     connected base graph of order at most four, and the oracle value depends
     on the copy graph only through its order."""
-    report = SuiteReport("oracle-equivalence", seed)
     small_h = {
         "N1": generate(FamilySpec("empty", (1,))),
         "N2": generate(FamilySpec("empty", (2,))),
@@ -337,16 +317,14 @@ def suite_oracle_equivalence(seed: int = 0) -> SuiteReport:
                     **values,
                     **blob,
                 )
-    return report
 
 
-def suite_g_vs_ghat(seed: int = 0) -> SuiteReport:
+def suite_g_vs_ghat(report: SuiteReport) -> None:
     """Relations between a graph and its empty bisector graph: dimension,
     maximum degree and clique number against cover/independence numbers,
     odd distances on its edges, and the eccentricity-two and universal-vertex
     special cases."""
-    report = SuiteReport("g-vs-ghat", seed)
-    for tag, g, blob in _corpus(seed):
+    for tag, g, blob in _corpus(report.seed):
         beta, alpha = equalizers.ghat_stats(g)
         ghat = empty_bisector_graph(g).graph
         max_degree = max(g.degree(v) for v in range(g.n))
@@ -395,7 +373,6 @@ def suite_g_vs_ghat(seed: int = 0) -> SuiteReport:
                     theory.universal_vertex_formula(g, n_h),
                     **blob,
                 )
-    return report
 
 
 SUITES = {
@@ -413,9 +390,12 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int = 0) -> SuiteReport:
+    """Build suite ``name``'s report at ``seed``; the suite records into it."""
     if name not in SUITES:
         raise EquidimError(
             f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}"
         )
-    return SUITES[name](seed)
+    report = SuiteReport(name, seed)
+    SUITES[name](report)
+    return report
 

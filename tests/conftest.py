@@ -48,7 +48,7 @@ def clear_solver_caches():
     samples its graphs afresh.  Only the argument parser memo is kept."""
     for cache in (
         equalizers._xi_solve,
-        equalizers.beta_star,  # the staircase, also read by xi_corona_structured
+        equalizers._staircase,
         cli._parse_args,
         fileio.parse_edge_list,
         suites._corpus,

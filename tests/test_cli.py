@@ -374,8 +374,7 @@ def test_commands_share_one_corona_search_per_copy_order(capsys, fish_file):
         ("bounds", fish_file, "--nh", "1"),
     ):
         assert run(capsys, *argv)[0] == 0
-    assert equalizers.beta_star.cache_info().misses == 1
-    assert equalizers.xi_corona_structured.cache_info().misses == 1
+    assert equalizers._staircase.cache_info().misses == 1
 
 
 def test_a_long_sweep_keeps_no_witness(capsys, fish_file):

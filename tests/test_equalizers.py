@@ -469,7 +469,7 @@ class TestXiCoronaStructured:
         result = xi_corona_structured(g, 2)
         assert result.value == 7 * 2 + 7
         assert equalizers.ghat_stats(g) == (7, 7)
-        info = beta_star.cache_info()
+        info = equalizers._staircase.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
         assert [step[:2] for step in equalizers._staircase(g)] == [(7, 0)]
 
@@ -666,11 +666,11 @@ def test_non_integer_vertex_rejected(fish, call, member):
 class TestCopyOrder:
     def test_rejected_bool_order_leaves_the_cache_clean(self):
         # An empty staircase cache, so no full cache can hide a new entry.
-        xi_corona_structured.cache_clear()
+        equalizers._staircase.cache_clear()
         g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 4), (0, 5)])
         with pytest.raises(GraphError, match="copy order must be a positive integer"):
             xi_corona_structured(g, True)
-        assert xi_corona_structured.cache_info().currsize == 0
+        assert equalizers._staircase.cache_info().currsize == 0
         result = xi_corona_structured(g, 1)
         assert result.value == xi_corona_oracle(g, empty_graph(1)).value
 
@@ -708,7 +708,7 @@ class TestCoronaCache:
         xi_corona_structured(fish, 2)
         xi_corona_structured(fish, 2, None)
         xi_corona_structured(fish, 2, max_order=fish.n)
-        assert xi_corona_structured.cache_info().misses == 1
+        assert equalizers._staircase.cache_info().misses == 1
 
     def test_budget_checked_on_a_cache_hit(self, fish):
         xi_corona_structured(fish, 2)
@@ -727,11 +727,11 @@ class TestCoronaCache:
 
 
 #: The solver result caches, which key on the graph, whose labels take no
-#: part in its identity; the staircase cache is read through ``beta_star``
-#: and ``xi_corona_structured``, and no corona result is cached.
+#: part in its identity; the staircase cache serves ``beta_star`` and
+#: ``xi_corona_structured``, and no corona result is cached.
 SOLVER_CACHES = {
     "xi": equalizers._xi_solve,
-    "staircase": beta_star,
+    "staircase": equalizers._staircase,
 }
 
 #: Calls rejected for budget, copy order or connectivity.
@@ -798,7 +798,7 @@ class TestSolverCaches:
             beta_star(Graph(6, fish.edges)),
         }
         assert len(results) == 1
-        info = beta_star.cache_info()
+        info = equalizers._staircase.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 4, 1)
         # The budget check runs before the cache.
         with pytest.raises(BudgetError):
@@ -960,13 +960,13 @@ class TestKThreshold:
         # sized whole, and one staircase serves the slope, β* and the probe.
         full_ghat = (g.ghat_rows, (1 << g.n) - 1)
         assert solves.count(full_ghat) == 0
-        info = beta_star.cache_info()
+        info = equalizers._staircase.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
 
     def test_fish(self, fish):
         line = k_threshold(fish)
         assert (line.k, line.threshold, line.slope) == (6, 2, 1)
-        assert line.threshold_bound == "exact"
+        assert line._fields == ("k", "threshold", "slope")
 
     def test_pendant_triangle(self, pendant_triangle):
         line = k_threshold(pendant_triangle)
@@ -981,7 +981,7 @@ class TestKThreshold:
         # Every order the cover cap of 28 accepts gets the exact threshold;
         # the line it reports must hold past it.
         g = path_graph(n)
-        assert k_threshold(g) == ThresholdLine(k, threshold, slope, "exact")
+        assert k_threshold(g) == ThresholdLine(k, threshold, slope)
         for n_h in range(threshold + 1, threshold + 4):
             assert xi_corona_structured(g, n_h).value == slope * n_h + k
 

@@ -104,6 +104,14 @@ class TestConstruction:
         with pytest.raises(GraphError, match="hashable"):
             Graph(2, labels=[[1], [2]])
 
+    def test_never_equals_another_type(self):
+        # __eq__ returns NotImplemented, so Python falls back to identity.
+        assert (Graph(2) == (2, ())) is False
+        assert (Graph(2) != "x") is True
+
+    def test_repr_names_order_and_size(self):
+        assert repr(Graph(3, [(0, 1), (1, 2)])) == "Graph(n=3, m=2)"
+
 
 class TestDistances:
     def test_p3_end_to_end(self):

@@ -6,6 +6,7 @@ import oracles
 from conftest import clear_solver_caches
 from equidim import (
     BudgetError,
+    EquidimResult,
     FamilySpec,
     Graph,
     GraphError,
@@ -20,6 +21,7 @@ from equidim import (
     xi_corona_structured,
     xi_equals_order_characterization,
 )
+from equidim import equalizers
 from equidim.families import (
     complete_bipartite_graph,
     complete_graph,
@@ -49,11 +51,17 @@ class TestBoundsReport:
         # another copy order reads it again: no copy order runs a search.
         clear_solver_caches()
         bounds_report(fish, 1)
-        info = beta_star.cache_info()
+        info = equalizers._staircase.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
         bounds_report(fish, 3)
-        info = xi_corona_structured.cache_info()
+        info = equalizers._staircase.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 5, 1)
+
+    def test_a_broken_chain_is_refused(self, fish, monkeypatch):
+        # An overlap of 100 lifts the lower bound past the exact value.
+        monkeypatch.setattr(equalizers, "beta_star", lambda g: EquidimResult(100, frozenset()))
+        with pytest.raises(AssertionError, match="bound chain violated"):
+            bounds_report(fish, 2)
 
     def test_fish_nh3(self, fish):
         r = bounds_report(fish, 3)
@@ -346,6 +354,19 @@ class TestSamplers:
         message = r"^no connected sample after 5 tries \(n=3, p=0\.0\)$"
         with pytest.raises(GraphError, match=message):
             random_connected_graph(random.Random(0), 3, 0.0, max_tries=5)
+
+    def test_bipartite_sampler_gives_up_after_its_tries(self):
+        # One vertex on the left and no edge drawn: never connected.
+        class NoEdges:
+            def randint(self, lo, hi):
+                return lo
+
+            def random(self):
+                return 0.99
+
+        message = r"^no connected bipartite sample after 10000 tries \(n=3\)$"
+        with pytest.raises(GraphError, match=message):
+            random_connected_bipartite(NoEdges(), 3)
 
     def test_census_counts(self):
         assert [len(all_connected_graphs(n)) for n in (1, 2, 3, 4)] == [1, 1, 4, 38]
