@@ -5,15 +5,18 @@
 #
 # It runs the large-input paths no benchmark reaches: one bisector of
 # P_1023 off two BFS rows, and the 512 x 512 distance matrix. The
-# xi-corona --oracle line is the console script's one way to the explicit
-# corona product. The xi and xi-total lines run the ξ search and the pair
-# mask table at the order cap of 18. The k-threshold and beta-star lines on
-# P_28 solve β* and the exact line at the cover cap of 28. The fish sweep
-# to n(H) = 4000 prints one value per copy order; a sweep that kept each
-# printed witness would hold hundreds of MiB by its end. The two xi-corona
-# lines take each branch of the corona tables: K_{12,16} is bipartite, so its
-# tables are read off the BFS from vertex 0 and the value is the bipartite
-# formula 12 * 3 + 16; C_27 has an odd cycle and runs the BFS from every
+# xi-corona --oracle lines are the console script's one way to the explicit
+# corona product, which the command reads by value only: P_4 with 2K_1
+# copies, P_7 with K_1 copies at the oracle cap of 14, and P_5 with 2K_1
+# copies, of order 15, which must exit 1 with the budget error alone. The
+# xi and xi-total lines run the ξ search and the pair mask table at the
+# order cap of 18. The k-threshold and beta-star lines on P_28 solve β*
+# and the exact line at the cover cap of 28. The fish sweep to
+# n(H) = 4000 prints one value per copy order; a sweep that kept each
+# printed witness would hold hundreds of MiB by its end. The K_{12,16}
+# and C_27 xi-corona lines take each branch of the corona tables:
+# K_{12,16} is bipartite, so its tables are read off the BFS from vertex 0
+# and the value is the bipartite formula 12 * 3 + 16; C_27 has an odd cycle and runs the BFS from every
 # vertex. The fish xi-corona line at n(H) = 10^9 prints the value and the
 # split only; a witness would hold 10^9 + 6 product vertices. The
 # chorded-path beta-star line is the one with a non-empty overlap: its
@@ -35,6 +38,12 @@ test "$(equidim gen path 1023 | equidim bisector - 0 1022 --json)" = '{"bisector
 equidim gen cycle 512 | equidim dist - --json > /dev/null
 equidim gen empty 2 -o "$tmp/h.txt"
 test "$(equidim gen path 4 | equidim xi-corona - --nh 2 --oracle "$tmp/h.txt" --json)" = '{"agree":true,"base_part":[1,3],"copies_over":[0,2],"nh":2,"oracle":6,"value":6}'
+equidim gen empty 1 -o "$tmp/h1.txt"
+test "$(equidim gen path 7 | equidim xi-corona - --nh 1 --oracle "$tmp/h1.txt" --json)" = '{"agree":true,"base_part":[0,2,4,6],"copies_over":[1,3,5],"nh":1,"oracle":7,"value":7}'
+status=0
+err="$(equidim gen path 5 | equidim xi-corona - --nh 2 --oracle "$tmp/h.txt" 2>&1 >/dev/null)" || status=$?
+test "$status" = 1
+test "$err" = "error: exact search out of budget: order 15 exceeds cap 14"
 test "$(equidim gen path 18 | equidim xi - --json)" = '{"value":13,"witness":[0,2,3,4,6,8,9,10,11,12,13,14,16]}'
 test "$(equidim gen cycle 18 | equidim xi-total - --json)" = '{"value":null,"witness":null}'
 test "$(equidim gen complete-bipartite 12 16 | equidim xi-corona - --nh 3 --json)" = '{"base_part":[12,13,14,15,16,17,18,19,20,21,22,23,24,25,26,27],"copies_over":[0,1,2,3,4,5,6,7,8,9,10,11],"nh":3,"value":52}'

@@ -131,10 +131,10 @@ def _xi_corona(g: Graph, args, budget):
         h = _load_graph(args.oracle)
         if h.n != args.nh:
             raise EquidimError(f"--oracle graph has order {h.n}, but --nh is {args.nh}")
-        oracle = equalizers.xi_corona_oracle(g, h, max_order=budget)
-        payload["oracle"] = oracle.value
-        payload["agree"] = oracle.value == value
-        lines.append(f"oracle: {oracle.value} ({'agree' if payload['agree'] else 'DISAGREE'})")
+        oracle = equalizers._oracle_value(g, h, budget)
+        payload["oracle"] = oracle
+        payload["agree"] = oracle == value
+        lines.append(f"oracle: {oracle} ({'agree' if payload['agree'] else 'DISAGREE'})")
     return payload, lines
 
 

@@ -66,38 +66,18 @@ def _min_hitting_subset(n: int, masks: list[int]) -> tuple[int, frozenset[int]]:
     """Smallest subset of ``0..n-1`` meeting every mask, and the
     lexicographically first of its size.  Every mask must be nonzero.
 
-    Mask i gets bit i, and ``inc[v]`` holds the masks containing v.  Any
-    order is correct; shortest first keeps the searches small.  Two phases:
-
-    * sizing: one search over the whole family finds the minimum size k and
-      a set of that size, from a disjoint-mask lower bound;
-    * witness: the elements are then decided in ascending order, keeping
-      ``known``, a set of size k whose elements below v are the ones taken.
-      v is taken when it is in ``known``, and left out when it meets no
-      unhit mask (every member of a minimum set meets one).  Otherwise v is
-      taken, and ``known`` updated, iff k - len(taken) - 1 elements above v
-      (the room) meet the masks v leaves unhit, as one
-      :func:`_min_hitting_search` capped at the room decides; any minimum
-      set that search completes serves as ``known``.  The last ``known`` is
-      the answer.
+    Once :func:`_min_hitting_size` has found the minimum size k, the
+    witness walk decides the elements in ascending order, keeping ``known``,
+    a set of size k whose elements below v are the ones taken.  v is taken
+    when it is in ``known``, and left out when it meets no unhit mask
+    (every member of a minimum set meets one).  Otherwise v is taken, and
+    ``known`` updated, iff k - len(taken) - 1 elements above v (the room)
+    meet the masks v leaves unhit, as one :func:`_min_hitting_search`
+    capped at the room decides; any minimum set that search completes
+    serves as ``known``.  The last ``known`` is the answer.
     """
-    # Mask i fills bits [iW, (i+1)W) of one int joined from the masks' bytes
-    # in linear time, so every W-th digit from the right is a column inc[v].
-    width = (n + 7) // 8
-    stride = 8 * width
-    table = int.from_bytes(b"".join([mask.to_bytes(width, "little") for mask in masks]), "little")
-    digits = f"{table:0{len(masks) * stride}b}"
-    inc = [int(digits[stride - 1 - v :: stride] or "0", 2) for v in range(n)]
-    # Pairwise-disjoint masks each need their own element.
-    packed = low = 0
-    for mask in masks:
-        if not mask & packed:
-            packed |= mask
-            low += 1
-
+    size, known, inc = _min_hitting_size(n, masks)
     unhit = (1 << len(masks)) - 1
-    # Each element taken hits a new mask, so no set outgrows len(masks).
-    size, known = _min_hitting_search(masks, inc, unhit, 0, len(masks) + 1, low)
     for v in range(n):
         bit = 1 << v
         if not known & bit:
@@ -113,11 +93,33 @@ def _min_hitting_subset(n: int, masks: list[int]) -> tuple[int, frozenset[int]]:
     return size, frozenset(_bits(known))
 
 
+def _min_hitting_size(n: int, masks: list[int]) -> tuple[int, int, list[int]]:
+    """Sizing phase of :func:`_min_hitting_subset`: ``(k, a set of size k,
+    inc)``, ``inc[v]`` holding the masks that contain v (mask i gets bit
+    i).  Any mask order is correct; shortest first keeps the search small."""
+    # Mask i fills bits [iW, (i+1)W) of one int joined from the masks' bytes
+    # in linear time, so every W-th digit from the right is a column inc[v].
+    width = (n + 7) // 8
+    stride = 8 * width
+    table = int.from_bytes(b"".join([mask.to_bytes(width, "little") for mask in masks]), "little")
+    digits = f"{table:0{len(masks) * stride}b}"
+    inc = [int(digits[stride - 1 - v :: stride] or "0", 2) for v in range(n)]
+    # Pairwise-disjoint masks each need their own element.
+    packed = low = 0
+    for mask in masks:
+        if not mask & packed:
+            packed |= mask
+            low += 1
+    # Each element taken hits a new mask, so no set outgrows len(masks).
+    size, known = _min_hitting_search(masks, inc, (1 << len(masks)) - 1, 0, len(masks) + 1, low)
+    return size, known, inc
+
+
 def _min_hitting_search(
     masks: list[int], inc: list[int], unhit: int, excluded: int, best: int, stop: int
 ) -> tuple[int, int | None]:
     """A set of elements outside ``excluded`` that meets every mask whose
-    bit is set in ``unhit`` (``inc`` as in :func:`_min_hitting_subset`), as
+    bit is set in ``unhit`` (``inc`` as in :func:`_min_hitting_size`), as
     ``(len(set), set)``: the first one found with at most ``stop``
     elements, or else the smallest with fewer than ``best``; ``(best,
     None)`` when there is none.
@@ -316,12 +318,22 @@ def xi_corona_structured(
 
 def xi_corona_oracle(g: Graph, h: Graph, max_order: int | None = None) -> EquidimResult:
     """Exact corona dimension by the ξ search on the explicit product graph,
-    uncached (``_xi_solve.__wrapped__``): no product is asked for twice.
-    The witness lives in the product, and there is no decomposition."""
-    order = g.n * (1 + h.n)
-    check_budget(order, max_order, MAX_ORACLE_ORDER)
+    uncached: no product is asked for twice.  The witness lives in the
+    product, and :func:`_oracle_value` skips it.  There is no decomposition."""
+    return EquidimResult(*_min_hitting_subset(*_oracle_masks(g, h, max_order)))
+
+
+def _oracle_value(g: Graph, h: Graph, max_order: int | None = None) -> int:
+    """The value of :func:`xi_corona_oracle`, with no witness walk."""
+    return _min_hitting_size(*_oracle_masks(g, h, max_order))[0]
+
+
+def _oracle_masks(g: Graph, h: Graph, max_order: int | None) -> tuple[int, list[int]]:
+    """Order and equalizer masks of ``corona(g, h)``, after the budget check."""
+    check_budget(g.n * (1 + h.n), max_order, MAX_ORACLE_ORDER)
     # The product is connected iff g is, and its own table checks that.
-    return _xi_solve.__wrapped__(corona(g, h))
+    product = corona(g, h)
+    return product.n, _equalizer_masks(product)
 
 
 def beta_star(g: Graph, max_order: int | None = None) -> EquidimResult:

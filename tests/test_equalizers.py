@@ -835,6 +835,28 @@ class TestXiCoronaOracle:
         with pytest.raises(BudgetError):
             xi_corona_oracle(cycle_graph(5), complete_graph(2))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_value_alone_matches_the_oracle(self, n):
+        hs = [empty_graph(1), empty_graph(2), path_graph(2)]
+        if n <= 3:
+            hs += [path_graph(3), empty_graph(3), complete_graph(3)]
+        for g in all_connected_graphs(n):
+            for h in hs:
+                assert equalizers._oracle_value(g, h) == xi_corona_oracle(g, h).value, g.edges
+
+    def test_value_alone_checks_the_budget_before_the_product(self, monkeypatch):
+        g, h = cycle_graph(5), complete_graph(2)
+        with pytest.raises(BudgetError) as expected:
+            xi_corona_oracle(g, h)
+
+        def no_product(*args):
+            raise AssertionError("product built before the budget check")
+
+        monkeypatch.setattr(equalizers, "corona", no_product)
+        with pytest.raises(BudgetError) as got:
+            equalizers._oracle_value(g, h)
+        assert str(got.value) == str(expected.value)
+
     def test_witness_projections_are_covers(self):
         g = cycle_graph(4)
         result = xi_corona_oracle(g, empty_graph(2))

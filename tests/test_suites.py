@@ -70,13 +70,13 @@ def test_gallai_fails_on_a_wrong_cover_number(monkeypatch):
 def test_failures_carry_counterexamples(monkeypatch, capsys):
     # One too high everywhere: every fig7 value check fails, and the
     # verify command prints each failure with its graph.
-    solve = equalizers.xi_corona_structured
+    solve = equalizers._corona_split
 
-    def off_by_one(g, n_h, **kw):
-        result = solve(g, n_h, **kw)
-        return dataclasses.replace(result, value=result.value + 1)
+    def off_by_one(g, n_h, max_order=None):
+        value, *split = solve(g, n_h, max_order)
+        return (value + 1, *split)
 
-    monkeypatch.setattr(equalizers, "xi_corona_structured", off_by_one)
+    monkeypatch.setattr(equalizers, "_corona_split", off_by_one)
     assert cli.main(["verify", "fig7"]) == 2
     out = capsys.readouterr().out.splitlines()
     assert "FAIL pendant-triangle/nh=1" in out
@@ -86,6 +86,20 @@ def test_failures_carry_counterexamples(monkeypatch, capsys):
     assert all("'edges': [[" in line for line in counterexamples)
     assert cli.main(["verify", "fig7", "--json"]) == 2
     assert json.loads(capsys.readouterr().out)["passed"] is False
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_no_suite_builds_a_witness(monkeypatch, seed):
+    # Every check compares values, so no suite calls a solver that builds
+    # a witness in the product.
+    def witness_built(*args, **kw):
+        raise AssertionError("a suite built a corona witness")
+
+    monkeypatch.setattr(equalizers, "xi_corona_structured", witness_built)
+    monkeypatch.setattr(equalizers, "xi_corona_oracle", witness_built)
+    for name in sorted(SUITES):
+        report = run_suite(name, seed)
+        assert report.passed, (name, [c.key for c in report.failures()][:3])
 
 
 def test_a_check_that_raises_keeps_its_graph(monkeypatch):
