@@ -27,12 +27,16 @@
 # exact)", which the solver's ThresholdLine does not hold. The last line
 # checks the console script's error exit: a --sweep range without ".."
 # must exit non-zero with exactly one error line on stderr; the tier-1
-# tests run the CLI only as `python -m equidim.cli`.
+# tests run the CLI only as `python -m equidim.cli`. The import line checks
+# that the installed, bytecode-compiled package, as users run it, loads no
+# `dataclasses`: the records are plain classes, so no import compiles
+# generated methods.
 set -euo pipefail
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
 equidim --help
+test "$(python -c 'import sys, equidim.cli; print("dataclasses" in sys.modules)')" = False
 equidim verify gallai --json
 test "$(equidim gen path 1023 | equidim bisector - 0 1022 --json)" = '{"bisector":[511]}'
 equidim gen cycle 512 | equidim dist - --json > /dev/null

@@ -11,9 +11,7 @@ and the verification suites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import GraphError
+from .errors import FrozenRecord, GraphError
 from .graphs import Graph, _bits
 
 
@@ -28,11 +26,13 @@ def bisector(g: Graph, u: int, v: int) -> frozenset[int]:
     return frozenset(_bits(g.bisector_mask(u, v)))
 
 
-@dataclass(frozen=True)
-class EmptyBisectorGraph:
+class EmptyBisectorGraph(FrozenRecord):
     """The empty bisector graph of a source graph, on the same vertex set."""
 
     graph: Graph
+
+    def __init__(self, graph):
+        object.__setattr__(self, "graph", graph)
 
 
 def empty_bisector_graph(g: Graph) -> EmptyBisectorGraph:

@@ -21,18 +21,16 @@ record :class:`EquidimResult`, defined here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import check_budget
+from .errors import FrozenRecord, check_budget
 from .graphs import Graph, _bits
 
 #: Hard cap on the order accepted by the exact solvers.
 MAX_EXACT_ORDER = 28
 
 
-@dataclass(frozen=True)
-class EquidimResult:
+class EquidimResult(FrozenRecord):
     """An optimal value with a witness set achieving it, in the graph asked
     about (a corona's in the product as :func:`~equidim.graphs.corona` lays
     it out).  ``decomposition`` is the ``(U, L)`` split over the base of the
@@ -42,7 +40,12 @@ class EquidimResult:
 
     value: int | float
     witness: frozenset[int] | None
-    decomposition: tuple[frozenset[int], frozenset[int]] | None = None
+    decomposition: tuple[frozenset[int], frozenset[int]] | None
+
+    def __init__(self, value, witness, decomposition=None):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "decomposition", decomposition)
 
 
 # -- bitmask core -------------------------------------------------------------

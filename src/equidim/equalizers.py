@@ -18,27 +18,32 @@ vertices, is built from them on each call and never kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 from . import covers
 from .covers import EquidimResult
-from .errors import GraphError, check_budget, check_copy_order
+from .errors import FrozenRecord, GraphError, check_budget, check_copy_order
 from .graphs import INFINITY, Graph, _bits, corona
 
 #: Order cap for the exact hitting-set searches (ξ and ξ_total) on one graph.
 MAX_BRUTE_ORDER = 18
 #: Order cap for the explicit corona product accepted by the oracle.
 MAX_ORACLE_ORDER = 14
+#: Order cap for the corona product whose witness, a set of product
+#: vertices, :func:`xi_corona_structured` builds.
+MAX_PRODUCT_ORDER = 2**20
 
 
-@dataclass(frozen=True)
-class ForwardPair:
+class ForwardPair(FrozenRecord):
     """A pair of vertex sets (x, y) with ``x | y`` covering all vertices."""
 
     x: frozenset[int]
     y: frozenset[int]
+
+    def __init__(self, x, y):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
 
 class ThresholdLine(NamedTuple):
@@ -307,8 +312,11 @@ def xi_corona_structured(
     valid splits (U, L), with full copies over U and L in the base.
 
     The witness is built on each call from :func:`_corona_split`, so none
-    is kept; it has ξ(G ⊙ H) product vertices.
+    is kept; it has ξ(G ⊙ H) product vertices.  A product of more than
+    ``MAX_PRODUCT_ORDER`` vertices is rejected before any set is built.
     """
+    check_copy_order(n_h)
+    check_budget(g.n * (1 + n_h), None, MAX_PRODUCT_ORDER)
     value, upper, lower = _corona_split(g, n_h, max_order)
     n = g.n
     # L in the base plus the full copy over each i in U, as corona() lays it out.

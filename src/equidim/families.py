@@ -19,31 +19,29 @@ verification suites; their edge lists are embedded literally and carry
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .errors import GraphError
+from .errors import FrozenRecord, GraphError
 from .fileio import MAX_INPUT_ORDER
 from .graphs import Graph
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(FrozenRecord):
     """Symbolic name of a graph family plus its integer parameters; a name
     that is not a ``str``, or a parameter that is not a plain ``int``
     (``True``, ``2.0``, ``"5"``), is rejected."""
 
     name: str
-    params: tuple[int, ...] = field(default=())
+    params: tuple[int, ...]
 
-    def __post_init__(self):
-        if type(self.name) is not str:
-            raise GraphError(f"family name must be a string, got {self.name!r}")
+    def __init__(self, name, params=()):
+        if type(name) is not str:
+            raise GraphError(f"family name must be a string, got {name!r}")
         try:
-            params = tuple(self.params)
+            params = tuple(params)
         except TypeError:
-            raise GraphError(f"family parameters must be a sequence, got {self.params!r}") from None
+            raise GraphError(f"family parameters must be a sequence, got {params!r}") from None
         if any(type(p) is not int for p in params):
             raise GraphError(f"family parameters must be integers, got {params!r}")
+        object.__setattr__(self, "name", name)
         object.__setattr__(self, "params", params)
 
 

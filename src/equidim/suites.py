@@ -18,29 +18,36 @@ Every check compares values, so the suites read the corona dimension off
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import covers, equalizers, theory
 from .bisectors import empty_bisector_graph
-from .errors import EquidimError
+from .errors import EquidimError, Record
 from .families import FamilySpec, generate
 from .fileio import canonical_json
 from .graphs import Graph
 
 
-@dataclass
-class CheckResult:
+class CheckResult(Record):
     key: str
     passed: bool
-    details: dict = field(default_factory=dict)
+    details: dict
+
+    def __init__(self, key, passed, details=None):
+        self.key = key
+        self.passed = passed
+        self.details = {} if details is None else details
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(Record):
     suite: str
     seed: int
-    checks: list[CheckResult] = field(default_factory=list)
+    checks: list[CheckResult]
+
+    def __init__(self, suite, seed, checks=None):
+        self.suite = suite
+        self.seed = seed
+        self.checks = [] if checks is None else checks
 
     def record(self, key: str, fn, **extra) -> None:
         """Passes with the details ``fn()`` returns; an exception inside it

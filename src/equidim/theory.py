@@ -9,16 +9,14 @@ cross-check each one against the exact structured search.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from . import equalizers
-from .errors import BudgetError, GraphError, check_copy_order
+from .errors import BudgetError, FrozenRecord, GraphError, check_copy_order
 from .families import FamilySpec, check_arity
 from .graphs import Graph, _bits
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(FrozenRecord):
     """All general bounds next to the exact value for one base graph at the
     copy order passed.  Only ``upper_via_xi`` can be ``None``: ξ(G) is
     skipped above its own order cap.  The values always satisfy ``floor <=
@@ -32,9 +30,16 @@ class BoundsReport:
     upper_via_xi: int | None
     exact: int
 
+    def __init__(self, floor, lower_weak, lower, upper, upper_via_xi, exact):
+        object.__setattr__(self, "floor", floor)
+        object.__setattr__(self, "lower_weak", lower_weak)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "upper_via_xi", upper_via_xi)
+        object.__setattr__(self, "exact", exact)
 
-@dataclass(frozen=True)
-class FormulaValue:
+
+class FormulaValue(FrozenRecord):
     """Result of one closed-formula clause.
 
     Only the bistar clause, which is flagged, has an ``alternate_value``:
@@ -45,17 +50,24 @@ class FormulaValue:
     """
 
     value: int
-    alternate_value: int | None = None
+    alternate_value: int | None
+
+    def __init__(self, value, alternate_value=None):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "alternate_value", alternate_value)
 
 
-@dataclass(frozen=True)
-class Ecc2Report:
+class Ecc2Report(FrozenRecord):
     """Upper bound obtained from a vertex of eccentricity at most two, and
     the exact value when such a vertex has degree equal to the independence
     number of the empty bisector graph."""
 
     upper: int
     exact: int | None
+
+    def __init__(self, upper, exact):
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "exact", exact)
 
 
 def bounds_report(g: Graph, n_h: int) -> BoundsReport:

@@ -12,6 +12,7 @@ from conftest import (
     hard_draws,
     labelset,
     traced_growth,
+    traced_peak,
 )
 from equidim import (
     BudgetError,
@@ -725,6 +726,27 @@ class TestCoronaCache:
         clear_solver_caches()
         assert traced_growth(solve) < 2**20
 
+    @pytest.mark.parametrize(
+        "base, n_h, order, value",
+        [
+            (fish_graph(), 10**9, 6_000_000_006, 10**9 + 6),
+            (path_graph(16), 2**16, 16 * (2**16 + 1), 8 * 2**16 + 8),
+        ],
+        ids=["fish-1e9", "P16-just-above"],
+    )
+    def test_a_product_above_the_cap_is_rejected_before_any_set(self, base, n_h, order, value):
+        # The witness would hold ξ(G ⊙ H) product vertices; _corona_split,
+        # which builds none, still answers.
+        cap = equalizers.MAX_PRODUCT_ORDER
+        assert cap == 2**20
+
+        def solve():
+            with pytest.raises(BudgetError, match=f"order {order} exceeds cap {cap}$"):
+                xi_corona_structured(base, n_h)
+
+        assert traced_peak(solve) < 2**20
+        assert equalizers._corona_split(base, n_h)[0] == value
+
 
 #: The solver result caches, which key on the graph, whose labels take no
 #: part in its identity; the staircase cache serves ``beta_star`` and
@@ -742,6 +764,7 @@ REJECTED_CALLS = {
     "ghat-disconnected": lambda: equalizers.ghat_stats(Graph(6, path_graph(5).edges)),
     "corona-budget": lambda: xi_corona_structured(path_graph(6), 2, max_order=5),
     "corona-copy-order": lambda: xi_corona_structured(path_graph(6), 0),
+    "corona-product-order": lambda: xi_corona_structured(path_graph(16), 2**16),
     "corona-disconnected": lambda: xi_corona_structured(Graph(6, path_graph(5).edges), 2),
 }
 
